@@ -15,14 +15,14 @@ from .certify import (BOUND_MET, BOUND_VIOLATION_SUSPECT_INPUT,
                       GoldmanReport, InputDocument, InputDocumentError,
                       SurveyReport, certify, document_from_dict,
                       goldman_check, load_document, report_to_dict, survey)
-from .cxla import (DEFAULT_RANK_TOL, inverse, least_squares_step, matmul,
+from .cxla import (DEFAULT_RANK_TOL, inverse, least_squares_step,
                    nullspace_dim, rank_and_margin, svd_rank)
 from .grouprep import (GroupSpec, Representation, evaluate_word,
                        random_representation, relator_residual,
                        sym_power_embedding)
-from .structure import (CompanionSearchError, NonCommutingPeripheralError,
-                        StructureReport, analyze_structure, centralizer_dim,
-                        find_companion, is_irreducible_burnside, is_regular)
+from .structure import (NonCommutingPeripheralError, StructureReport,
+                        analyze_structure, centralizer_dim,
+                        is_irreducible_burnside, is_regular)
 from .tangent import (MARGIN_CERTIFIED, RESIDUAL_CERT_BOUND,
                       NewtonConvergenceError, TangentReport,
                       finite_difference_jacobian, fox_matrix, newton_refine,

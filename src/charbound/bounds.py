@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifoldData:
     """Torus boundary count and Euler characteristic of the manifold."""
 
@@ -33,7 +33,7 @@ class ManifoldData:
             raise ValueError(f"torus count must be >= 0, got {self.torus_count}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     general_bound: int
     formula_used: str

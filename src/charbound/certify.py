@@ -16,23 +16,21 @@ import json
 import warnings
 from dataclasses import dataclass
 
+import jsonschema
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
 from . import cxla
-from .bounds import BoundReport, ManifoldData, hom_to_char_drop, thurston_bound
+from .bounds import (BoundReport, ManifoldData, goldman_dim, hom_to_char_drop,
+                     thurston_bound)
 from .grouprep import (GroupSpec, Representation, random_representation,
                        relator_residual)
 from .structure import (StructureReport, analyze_structure,
                         is_irreducible_burnside)
-from .tangent import (DEFAULT_NEWTON_TOL, RESIDUAL_CERT_BOUND, TangentReport,
-                      newton_refine, tangent_report)
-from .words import (GroupPresentation, PeripheralSpec, Word,
-                    euler_characteristic, parse_word, surface_presentation)
+from .tangent import (DEFAULT_NEWTON_TOL, RESIDUAL_CERT_BOUND,
+                      NewtonConvergenceError, TangentReport, newton_refine,
+                      tangent_report)
+from .words import (GroupPresentation, PeripheralSpec, euler_characteristic,
+                    parse_word, surface_presentation)
 
 __all__ = [
     "BOUND_MET",
@@ -118,6 +116,10 @@ _SCHEMA = {
     },
 }
 
+#: Built once: jsonschema.validate would re-check _SCHEMA against its
+#: metaschema on every call (tests check it once).
+_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+
 
 @dataclass(frozen=True)
 class InputDocument:
@@ -143,7 +145,7 @@ class InputDocument:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertReport:
     residual: float
     structure: StructureReport
@@ -154,7 +156,7 @@ class CertReport:
     verdict: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurveyReport:
     num_samples: int
     seed: int
@@ -163,7 +165,7 @@ class SurveyReport:
     estimate_counts: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldmanReport:
     genus: int
     n: int
@@ -199,23 +201,21 @@ def _parse_matrix(value, n: int, gen: str) -> np.ndarray:
 
 def document_from_dict(data: dict) -> InputDocument:
     """Validate and assemble an input document from parsed JSON."""
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(data, _SCHEMA)
-        except jsonschema.ValidationError as e:
-            path = "/".join(str(p) for p in e.absolute_path) or "(document root)"
-            raise InputDocumentError(f"at {path}: {e.message}") from None
+    e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    if e is not None:
+        path = "/".join(str(p) for p in e.absolute_path) or "(document root)"
+        raise InputDocumentError(f"at {path}: {e.message}")
     spec = GroupSpec(n=data["group"]["n"])
     gens = tuple(data["presentation"]["generators"])
     try:
         relators = tuple(
-            _parse_word_checked(text, gens)
+            parse_word(text, gens)
             for text in data["presentation"].get("relators", [])
         )
         peripheral = tuple(
             PeripheralSpec(
                 kind=item["kind"],
-                words=tuple(_parse_word_checked(t, gens) for t in item["words"]),
+                words=tuple(parse_word(t, gens) for t in item["words"]),
             )
             for item in data.get("peripheral", [])
         )
@@ -257,10 +257,6 @@ def document_from_dict(data: dict) -> InputDocument:
         tol_residual=tolerances.get("residual", DEFAULT_NEWTON_TOL),
         seed=data.get("seed"),
     )
-
-
-def _parse_word_checked(text: str, gens) -> Word:
-    return parse_word(text, gens)
 
 
 def load_document(path: str) -> InputDocument:
@@ -322,8 +318,10 @@ def survey(doc: InputDocument, num_samples: int, seed: "int | None" = None
 
     Each sample perturbs the original images with Gaussian noise of scale
     SURVEY_NOISE_SCALE and re-refines (no basin guard; the noise is known
-    rough but structured).  A failed sample is recorded, not fatal.  The
-    estimate multiset detects rank instability across the component.
+    rough but structured).  A sample that fails numerically (Newton, a
+    singular matrix or a rejected value) is recorded, not fatal; any other
+    error propagates.  The estimate multiset detects rank instability
+    across the component.
     """
     if num_samples < 1:
         raise ValueError(f"need at least one sample, got {num_samples}")
@@ -344,7 +342,7 @@ def survey(doc: InputDocument, num_samples: int, seed: "int | None" = None
         try:
             rep = Representation(doc.spec, noisy)
             report = _certify_at(doc, rep, basin_guard=None)
-        except Exception as e:
+        except (NewtonConvergenceError, np.linalg.LinAlgError, ValueError) as e:
             reports.append(None)
             errors.append((idx, f"{type(e).__name__}: {e}"))
             continue
@@ -372,7 +370,7 @@ def goldman_check(g: int, spec: GroupSpec, seed: int = 0) -> GoldmanReport:
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
     p = surface_presentation(g)
-    expected = (2 * g - 1) * spec.d + spec.z
+    expected = goldman_dim(g, spec)
     last_error = "no attempt made"
     for attempt in range(GOLDMAN_MAX_ATTEMPTS):
         free = GroupPresentation(p.generator_names)
@@ -418,8 +416,6 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (np.floating,)):
         return _jsonable(float(value))
-    if isinstance(value, Word):
-        return None  # callers render words with their presentation
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -427,13 +423,11 @@ def _jsonable(value):
     return value
 
 
-def report_to_dict(report: CertReport, presentation: GroupPresentation) -> dict:
+def report_to_dict(report: CertReport) -> dict:
     """CertReport as plain JSON-ready data; infinities become "inf"."""
     s = report.structure
     t = report.tangent
     b = report.bound
-    companion = (presentation.render(s.companion_word)
-                 if s.companion_word is not None else None)
     return {
         "residual": _jsonable(report.residual),
         "structure": {
@@ -441,7 +435,6 @@ def report_to_dict(report: CertReport, presentation: GroupPresentation) -> dict:
             "peripheral_centralizer_dims": list(s.peripheral_centralizer_dims),
             "irreducible": s.irreducible,
             "boundary_regular": s.boundary_regular,
-            "companion_word": companion,
         },
         "tangent": {
             "jacobian_rank": t.jacobian_rank,

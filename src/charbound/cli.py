@@ -157,7 +157,7 @@ def _cmd_certify(args) -> int:
                                                    args.tol_residual)
     report = certify(doc)
     if args.json:
-        print(json.dumps(report_to_dict(report, doc.presentation), indent=2))
+        print(json.dumps(report_to_dict(report), indent=2))
     else:
         _print_cert_report(report, doc)
     return VERDICT_EXIT[report.verdict]

@@ -13,7 +13,6 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "as_matrix",
     "check_finite",
-    "matmul",
     "inverse",
     "singular_values",
     "svd_rank",
@@ -38,14 +37,6 @@ def as_matrix(data) -> np.ndarray:
 def check_finite(a: np.ndarray) -> None:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix has non-finite entries")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def inverse(a: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ SL(2) -> SL(n) on symmetric powers, and draws seeded random representations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -19,13 +20,17 @@ from .words import GroupPresentation, Word
 __all__ = [
     "GroupSpec",
     "Representation",
+    "image_inverses",
+    "word_products",
     "evaluate_word",
+    "relator_values",
     "relator_residual",
     "sym_power_embedding",
     "random_representation",
     "project_det",
     "sl_basis",
     "sl_coords",
+    "sl_projections",
     "adjoint_operator",
 ]
 
@@ -91,40 +96,57 @@ class Representation:
             (abs(np.linalg.det(m) - 1.0) for m in self.images), default=0.0
         )
 
-    def inverses(self) -> tuple:
-        return tuple(cxla.inverse(m) for m in self.images)
-
     def conjugate(self, g: np.ndarray) -> "Representation":
         ginv = cxla.inverse(g)
         return Representation(self.spec, tuple(g @ m @ ginv for m in self.images))
 
 
+def image_inverses(words, images) -> dict:
+    """Generator index -> inverse of its image, for every generator that
+    some word uses inverted; each image is inverted once."""
+    inverted = {k for w in words for k, s in w.letters if s == -1}
+    return {k: cxla.inverse(m) for k, m in enumerate(images) if k in inverted}
+
+
+def word_products(w: Word, images, inverses):
+    """Prefix and suffix products of the letter images along w.
+
+    prefixes[t] is the product of the first t letters and suffixes[t] that
+    of the letters from t on, so prefixes[-1] and suffixes[0] are both the
+    image of w.  inverses maps generator indices to inverted images (see
+    image_inverses).  This is the only place that multiplies along a word.
+    """
+    if w.max_index() >= len(images):
+        raise ValueError(f"word uses generator index {w.max_index()}; "
+                         f"representation has {len(images)} images")
+    mats = [images[k] if s == 1 else inverses[k] for k, s in w.letters]
+    eye = np.eye(images[0].shape[0], dtype=np.complex128)
+    prefixes = [eye]
+    for m in mats:
+        prefixes.append(prefixes[-1] @ m)
+    suffixes = [eye]
+    for m in reversed(mats):
+        suffixes.append(m @ suffixes[-1])
+    return prefixes, suffixes[::-1]
+
+
 def evaluate_word(w: Word, rep: Representation) -> np.ndarray:
     """Product of generator images along the word; empty word -> identity."""
-    n = rep.spec.n
-    out = np.eye(n, dtype=np.complex128)
-    inv_cache: dict = {}
-    for k, s in w.letters:
-        if k >= rep.num_generators:
-            raise ValueError(f"word uses generator index {k}; representation has "
-                             f"{rep.num_generators} images")
-        if s == 1:
-            out = out @ rep.images[k]
-        else:
-            if k not in inv_cache:
-                inv_cache[k] = cxla.inverse(rep.images[k])
-            out = out @ inv_cache[k]
-    return out
+    prefixes, _ = word_products(w, rep.images, image_inverses([w], rep.images))
+    return prefixes[-1]
+
+
+def relator_values(p: GroupPresentation, images) -> list:
+    """Image of each relator under the generator images."""
+    inverses = image_inverses(p.relators, images)
+    return [word_products(rel, images, inverses)[0][-1] for rel in p.relators]
 
 
 def relator_residual(p: GroupPresentation, rep: Representation) -> float:
     """max over relators of the Frobenius distance of the image from I."""
-    n = rep.spec.n
-    eye = np.eye(n)
-    worst = 0.0
-    for rel in p.relators:
-        worst = max(worst, float(np.linalg.norm(evaluate_word(rel, rep) - eye)))
-    return worst
+    eye = np.eye(rep.spec.n)
+    return max((float(np.linalg.norm(v - eye))
+                for v in relator_values(p, rep.images)), default=0.0)
 
 
 def sym_power_embedding(m: np.ndarray, n: int) -> np.ndarray:
@@ -209,10 +231,24 @@ def sl_coords(m: np.ndarray) -> np.ndarray:
     return np.concatenate([np.asarray(off, dtype=np.complex128), diag])
 
 
+@lru_cache(maxsize=None)
+def sl_projections(n: int):
+    """(B, C): B maps sl_basis coordinates to row-major vec of the matrix,
+    C maps a row-major vec to sl_coords.  C @ B is the identity; the arrays
+    are shared and read-only."""
+    B = np.column_stack([b.reshape(-1) for b in sl_basis(n)])
+    C = np.column_stack([sl_coords(e.reshape(n, n))
+                         for e in np.eye(n * n, dtype=np.complex128)])
+    B.flags.writeable = False
+    C.flags.writeable = False
+    return B, C
+
+
 def adjoint_operator(a: np.ndarray) -> np.ndarray:
-    """Matrix of X -> a X a^{-1} on sl(n) in the sl_basis coordinates."""
+    """Matrix of X -> a X a^{-1} on sl(n) in the sl_basis coordinates.
+
+    Row-major vec(a X a^{-1}) = kron(a, a^{-T}) vec(X).
+    """
     a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    ainv = cxla.inverse(a)
-    cols = [sl_coords(a @ b @ ainv) for b in sl_basis(n)]
-    return np.column_stack(cols)
+    B, C = sl_projections(a.shape[0])
+    return C @ np.kron(a, cxla.inverse(a).T) @ B

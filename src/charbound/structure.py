@@ -1,9 +1,8 @@
 """Hypothesis checks at a representation.
 
 Centralizer dimension in the trace-zero Lie algebra, regularity of
-commutative (peripheral) subgroups, irreducibility via the Burnside span
-criterion, and the length-ordered search for a companion element that makes
-a peripheral subgroup irreducible.
+commutative (peripheral) subgroups, and irreducibility via the Burnside span
+criterion.
 """
 
 from __future__ import annotations
@@ -13,17 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cxla
-from .grouprep import (GroupSpec, Representation, evaluate_word, sl_basis)
-from .words import TORUS, GroupPresentation, Word, free_reduce
+from .grouprep import (GroupSpec, Representation, evaluate_word,
+                       sl_projections)
+from .words import TORUS, GroupPresentation
 
 __all__ = [
     "StructureReport",
     "NonCommutingPeripheralError",
-    "CompanionSearchError",
     "centralizer_dim",
     "is_regular",
     "is_irreducible_burnside",
-    "find_companion",
     "analyze_structure",
 ]
 
@@ -31,41 +29,26 @@ __all__ = [
 #: regularity checks.  Certified representations commute far below this.
 COMMUTE_TOL = 1e-8
 
-DEFAULT_COMPANION_MAX_LEN = 6
-
 
 class NonCommutingPeripheralError(ValueError):
     """A torus peripheral subgroup was handed non-commuting images."""
 
 
-class CompanionSearchError(RuntimeError):
-    """The companion search exhausted its length cap without success.
-
-    This bounds only the search; it says nothing about longer words.
-    """
-
-    def __init__(self, max_len: int):
-        self.max_len = max_len
-        super().__init__(
-            f"no companion word of length <= {max_len} makes the peripheral "
-            "subgroup irreducible; the cap bounds the search, not existence"
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructureReport:
     centralizer_dim_full_image: int
     peripheral_centralizer_dims: tuple
     irreducible: bool
     boundary_regular: bool
-    companion_word: "Word | None" = None
 
 
 def centralizer_dim(mats, spec: GroupSpec, tol: float = cxla.DEFAULT_RANK_TOL) -> int:
     """dim of {X in sl(n) : X A_i = A_i X for all i}.
 
-    Columns of the stacked operator are commutators [B_k, A_i] of the
-    trace-zero basis elements, vectorized; its nullspace is the centralizer.
+    Column k of the stacked operator holds the vectorized commutators
+    [B_k, A_i] of the trace-zero basis elements, row-major
+    vec(X A - A X) = (kron(I, A^T) - kron(A, I)) vec(X); its nullspace is
+    the centralizer.
     """
     mats = [cxla.as_matrix(m) for m in mats]
     n = spec.n
@@ -74,11 +57,9 @@ def centralizer_dim(mats, spec: GroupSpec, tol: float = cxla.DEFAULT_RANK_TOL) -
             raise ValueError(f"expected ({n}, {n}) matrices, got {m.shape}")
     if not mats:
         return spec.d
-    basis = sl_basis(n)
-    cols = []
-    for b in basis:
-        cols.append(np.concatenate([(b @ a - a @ b).reshape(-1) for a in mats]))
-    op = np.column_stack(cols)
+    B, _ = sl_projections(n)
+    eye = np.eye(n, dtype=np.complex128)
+    op = np.vstack([(np.kron(eye, a.T) - np.kron(a, eye)) @ B for a in mats])
     return cxla.nullspace_dim(op, tol)
 
 
@@ -145,55 +126,11 @@ def is_irreducible_burnside(mats, spec: GroupSpec,
     return basis.shape[0] == n * n
 
 
-def _reduced_words_of_length(length: int, num_gens: int):
-    """Freely reduced words of exactly this length, in length-lex order.
-
-    Letter order per generator index: the generator before its inverse
-    (a < A < b < B ...).
-    """
-    alphabet = [(k, s) for k in range(num_gens) for s in (1, -1)]
-
-    def extend(prefix):
-        if len(prefix) == length:
-            yield Word(tuple(prefix))
-            return
-        last = prefix[-1] if prefix else None
-        for letter in alphabet:
-            if last is not None and last[0] == letter[0] and last[1] == -letter[1]:
-                continue
-            yield from extend(prefix + [letter])
-
-    yield from extend([])
-
-
-def find_companion(p: GroupPresentation, rep: Representation, torus_index: int = 0,
-                   max_len: int = DEFAULT_COMPANION_MAX_LEN,
-                   tol: float = cxla.DEFAULT_RANK_TOL) -> Word:
-    """Shortest word g (length-lex order) whose image, together with the
-    torus peripheral images, generates an irreducible matrix set."""
-    if not 0 <= torus_index < len(p.peripheral):
-        raise ValueError(f"torus_index {torus_index} out of range "
-                         f"({len(p.peripheral)} peripheral markings)")
-    marking = p.peripheral[torus_index]
-    if marking.kind != TORUS:
-        raise ValueError(f"peripheral marking {torus_index} is not a torus")
-    peripheral_images = [evaluate_word(w, rep) for w in marking.words]
-    for length in range(1, max_len + 1):
-        for cand in _reduced_words_of_length(length, p.num_generators):
-            img = evaluate_word(cand, rep)
-            if is_irreducible_burnside(peripheral_images + [img], rep.spec, tol):
-                return free_reduce(cand)
-    raise CompanionSearchError(max_len)
-
-
 def analyze_structure(p: GroupPresentation, rep: Representation,
-                      tol: float = cxla.DEFAULT_RANK_TOL,
-                      companion_max_len: "int | None" = None) -> StructureReport:
+                      tol: float = cxla.DEFAULT_RANK_TOL) -> StructureReport:
     """Full-image irreducibility plus per-torus regularity.
 
-    boundary_regular is vacuously true with no torus markings.  A companion
-    search for torus 0 runs only when companion_max_len is given; its
-    failure leaves companion_word unset rather than failing the report.
+    boundary_regular is vacuously true with no torus markings.
     """
     cdim = centralizer_dim(list(rep.images), rep.spec, tol)
     irreducible = is_irreducible_burnside(list(rep.images), rep.spec, tol)
@@ -208,16 +145,9 @@ def analyze_structure(p: GroupPresentation, rep: Representation,
         peripheral_dims.append(pdim)
         if pdim != rep.spec.r + rep.spec.z:
             boundary_regular = False
-    companion = None
-    if companion_max_len is not None and p.torus_count > 0:
-        try:
-            companion = find_companion(p, rep, 0, companion_max_len, tol)
-        except CompanionSearchError:
-            companion = None
     return StructureReport(
         centralizer_dim_full_image=cdim,
         peripheral_centralizer_dims=tuple(peripheral_dims),
         irreducible=irreducible,
         boundary_regular=boundary_regular,
-        companion_word=companion,
     )

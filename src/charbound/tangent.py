@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cxla
-from .grouprep import (GroupSpec, Representation, adjoint_operator,
-                       evaluate_word, project_det, random_representation,
-                       relator_residual, sl_basis, sl_coords)
+from .grouprep import (GroupSpec, Representation, image_inverses,
+                       project_det, relator_residual, relator_values,
+                       sl_basis, sl_coords, sl_projections, word_products)
 from .structure import centralizer_dim
 from .words import GroupPresentation, Word, free_reduce, is_reduced
 
@@ -58,7 +58,7 @@ class NewtonConvergenceError(RuntimeError):
         super().__init__(f"{message} (last residual {last_residual:.3e})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TangentReport:
     """Dimensions at one representation.  All dimensions are complex.
 
@@ -66,8 +66,8 @@ class TangentReport:
     dim_B1 = d - (centralizer dim of the full image) the coboundaries,
     dim_H1 their difference.  deficiency_floor = d (m1 - m2) is the a
     priori lower bound on dim_Z1 from counting equations.  reliable is
-    false when the singular-value margin is below MARGIN_CERTIFIED or the
-    realified rank came out odd (both mean the rank decision is suspect).
+    false when the singular-value margin is below MARGIN_CERTIFIED (the
+    rank decision is then sensitive to the cutoff).
     """
 
     jacobian_rank: int
@@ -79,30 +79,61 @@ class TangentReport:
     reliable: bool
 
 
+def _ambient_blocks(w: Word, prefixes, suffixes, m1: int) -> np.ndarray:
+    """n^2 x n^2 m1 derivative of the word map along w in ambient
+    coordinates (all matrix entries, row-major per generator).
+
+    Per letter occurrence, with P = prefix product and S = suffix product:
+    positive letters contribute kron(P, S^T), inverse letters
+    -kron(P', S'^T) with P', S' the products including the letter.
+    """
+    n = prefixes[0].shape[0]
+    nn = n * n
+    K = np.zeros((nn, nn * m1), dtype=np.complex128)
+    for t, (k, s) in enumerate(w.letters):
+        if s == 1:
+            block = np.kron(prefixes[t], suffixes[t + 1].T)
+        else:
+            block = -np.kron(prefixes[t + 1], suffixes[t].T)
+        K[:, k * nn:(k + 1) * nn] += block
+    return K
+
+
+def _fox_rows(w: Word, rep: Representation, inverses) -> np.ndarray:
+    """d x d m1 Fox derivatives of w by every generator, through Ad(rho).
+
+    The ambient block of generator j is composed with X -> X A_j (the
+    left-translated tangent direction, kron(I, A_j^T) on row-major vecs),
+    right-translated by rho(w)^{-1} and projected to sl(n) coordinates.
+    In exact arithmetic this is sum Ad(prefix before each positive
+    occurrence) - sum Ad(prefix through each inverse occurrence), at any
+    representation, not only at solutions.
+    """
+    n = rep.spec.n
+    nn = n * n
+    m1 = rep.num_generators
+    B, C = sl_projections(n)
+    eye = np.eye(n, dtype=np.complex128)
+    prefixes, suffixes = word_products(w, rep.images, inverses)
+    left = C @ np.kron(eye, cxla.inverse(prefixes[-1]).T)
+    K = left @ _ambient_blocks(w, prefixes, suffixes, m1)
+    return np.hstack([K[:, j * nn:(j + 1) * nn] @ np.kron(eye, a.T) @ B
+                      for j, a in enumerate(rep.images)])
+
+
 def fox_matrix(w: Word, gen_index: int, rep: Representation) -> np.ndarray:
     """Fox derivative of w by generator gen_index, evaluated through Ad(rho).
 
     Returns the d x d operator on trace-zero matrices
         sum over positive occurrences of Ad(rho(prefix before the letter))
-      - sum over inverse occurrences of Ad(rho(prefix through the letter)).
+      - sum over inverse occurrences of Ad(rho(prefix through the letter)),
+    the one-generator block of relator_jacobian's row for w.
     """
     if not is_reduced(w):
         raise ValueError("fox_matrix expects a freely reduced word")
-    n = rep.spec.n
     d = rep.spec.d
-    invs = {k: cxla.inverse(rep.images[k]) for k, s in w.letters if s == -1}
-    D = np.zeros((d, d), dtype=np.complex128)
-    P = np.eye(n, dtype=np.complex128)
-    for k, s in w.letters:
-        if s == 1:
-            if k == gen_index:
-                D += adjoint_operator(P)
-            P = P @ rep.images[k]
-        else:
-            P = P @ invs[k]
-            if k == gen_index:
-                D -= adjoint_operator(P)
-    return D
+    rows = _fox_rows(w, rep, image_inverses([w], rep.images))
+    return rows[:, gen_index * d:(gen_index + 1) * d]
 
 
 def relator_jacobian(p: GroupPresentation, rep: Representation) -> np.ndarray:
@@ -111,10 +142,8 @@ def relator_jacobian(p: GroupPresentation, rep: Representation) -> np.ndarray:
     m1 = p.num_generators
     if not p.relators:
         return np.zeros((0, d * m1), dtype=np.complex128)
-    blocks = [
-        [fox_matrix(rel, j, rep) for j in range(m1)] for rel in p.relators
-    ]
-    return np.block(blocks)
+    inverses = image_inverses(p.relators, rep.images)
+    return np.vstack([_fox_rows(rel, rep, inverses) for rel in p.relators])
 
 
 def finite_difference_jacobian(p: GroupPresentation, rep: Representation,
@@ -128,90 +157,55 @@ def finite_difference_jacobian(p: GroupPresentation, rep: Representation,
     n = rep.spec.n
     d = rep.spec.d
     m1 = rep.num_generators
-    basis = sl_basis(n)
-    base_invs = [cxla.inverse(evaluate_word(rel, rep)) for rel in p.relators]
+    if not p.relators:
+        return np.zeros((0, d * m1), dtype=np.complex128)
+    base_invs = [cxla.inverse(v) for v in relator_values(p, rep.images)]
     eye = np.eye(n, dtype=np.complex128)
     cols = []
     for j in range(m1):
-        for X in basis:
-            col = []
+        for X in sl_basis(n):
+            values = []
             for sign in (+1, -1):
                 images = list(rep.images)
                 images[j] = (eye + sign * step * X) @ images[j]
-                # bypass Representation's det guard: (I + eps X) drifts det
-                # by O(eps^2) only, but keep the raw product evaluation
-                col.append([_evaluate_raw(rel, images) for rel in p.relators])
-            plus, minus = col
-            entries = []
-            for rel_idx in range(len(p.relators)):
-                delta = (plus[rel_idx] - minus[rel_idx]) / (2.0 * step)
-                entries.append(sl_coords(delta @ base_invs[rel_idx]))
-            cols.append(np.concatenate(entries) if entries
-                        else np.zeros(0, dtype=np.complex128))
-    if not p.relators:
-        return np.zeros((0, d * m1), dtype=np.complex128)
+                values.append(relator_values(p, images))
+            plus, minus = values
+            cols.append(np.concatenate([
+                sl_coords((hi - lo) / (2.0 * step) @ inv)
+                for hi, lo, inv in zip(plus, minus, base_invs)]))
     return np.column_stack(cols)
 
 
-def _evaluate_raw(w: Word, images: list) -> np.ndarray:
-    n = images[0].shape[0]
-    out = np.eye(n, dtype=np.complex128)
-    inv_cache: dict = {}
-    for k, s in w.letters:
-        if s == 1:
-            out = out @ images[k]
-        else:
-            if k not in inv_cache:
-                inv_cache[k] = np.linalg.inv(images[k])
-            out = out @ inv_cache[k]
-    return out
+def _newton_state(p: GroupPresentation, rep: Representation):
+    """Residual of the relator + determinant equations, and what the
+    ambient system needs: every image's inverse (the determinant rows use
+    them all) and the relator products."""
+    inverses = [cxla.inverse(m) for m in rep.images]
+    products = [word_products(rel, rep.images, inverses) for rel in p.relators]
+    eye = np.eye(rep.spec.n)
+    res = max([float(np.linalg.norm(prefixes[-1] - eye))
+               for prefixes, _ in products] + [rep.max_det_deviation()])
+    return res, inverses, products
 
 
-def _ambient_system(p: GroupPresentation, rep: Representation):
+def _ambient_system(p: GroupPresentation, rep: Representation, inverses,
+                    products):
     """Residual vector and Jacobian of the relator + determinant equations
-    in ambient coordinates (all matrix entries, row-major per generator).
-
-    Word-map derivative per letter occurrence, with P = prefix product and
-    S = suffix product: positive letters contribute kron(P, S^T), inverse
-    letters -kron(P', S'^T) with P', S' the products including the letter.
-    Everything is polynomial in the entries, so the complex (holomorphic)
-    Newton step is valid.
+    in ambient coordinates.  Everything is polynomial in the entries, so
+    the complex (holomorphic) Newton step is valid.
     """
     n = rep.spec.n
     nn = n * n
     m1 = rep.num_generators
-    imgs = list(rep.images)
-    invs = [cxla.inverse(m) for m in imgs]
-    num_rows = nn * len(p.relators) + m1
-    J = np.zeros((num_rows, nn * m1), dtype=np.complex128)
-    F = np.zeros(num_rows, dtype=np.complex128)
     eye = np.eye(n, dtype=np.complex128)
-    for ri, rel in enumerate(p.relators):
-        mats = [imgs[k] if s == 1 else invs[k] for k, s in rel.letters]
-        length = len(mats)
-        prefixes = [eye]
-        for m in mats:
-            prefixes.append(prefixes[-1] @ m)
-        suffixes = [eye] * (length + 1)
-        for t in range(length - 1, -1, -1):
-            suffixes[t] = mats[t] @ suffixes[t + 1]
-        F[ri * nn:(ri + 1) * nn] = (prefixes[length] - eye).reshape(-1)
-        for t, (k, s) in enumerate(rel.letters):
-            if s == 1:
-                block = np.kron(prefixes[t], suffixes[t + 1].T)
-            else:
-                block = -np.kron(prefixes[t + 1], suffixes[t].T)
-            J[ri * nn:(ri + 1) * nn, k * nn:(k + 1) * nn] += block
-    base = nn * len(p.relators)
-    for g in range(m1):
-        det = np.linalg.det(imgs[g])
-        F[base + g] = det - 1.0
-        J[base + g, g * nn:(g + 1) * nn] = det * invs[g].T.reshape(-1)
-    return F, J
-
-
-def _total_residual(p: GroupPresentation, rep: Representation) -> float:
-    return max(relator_residual(p, rep), rep.max_det_deviation())
+    F = [(prefixes[-1] - eye).reshape(-1) for prefixes, _ in products]
+    J = [_ambient_blocks(rel, prefixes, suffixes, m1)
+         for rel, (prefixes, suffixes) in zip(p.relators, products)]
+    dets = np.array([np.linalg.det(m) for m in rep.images])
+    det_rows = np.zeros((m1, nn * m1), dtype=np.complex128)
+    for g, inv in enumerate(inverses):
+        det_rows[g, g * nn:(g + 1) * nn] = dets[g] * inv.T.reshape(-1)
+    return np.concatenate(F + [dets - 1.0]), np.vstack(J + [det_rows])
 
 
 def newton_refine(p: GroupPresentation, rep: Representation,
@@ -229,7 +223,7 @@ def newton_refine(p: GroupPresentation, rep: Representation,
     """
     n = rep.spec.n
     nn = n * n
-    res = _total_residual(p, rep)
+    res, inverses, products = _newton_state(p, rep)
     if basin_guard is not None and res > basin_guard:
         raise NewtonConvergenceError(
             res, f"starting residual exceeds the basin guard {basin_guard:g}"
@@ -238,14 +232,14 @@ def newton_refine(p: GroupPresentation, rep: Representation,
     for _ in range(max_iter):
         if res < tol_residual:
             return cur
-        F, J = _ambient_system(p, cur)
+        F, J = _ambient_system(p, cur, inverses, products)
         step = cxla.least_squares_step(J, F)
         images = []
         for g in range(cur.num_generators):
             m = cur.images[g] + step[g * nn:(g + 1) * nn].reshape(n, n)
             images.append(project_det(m))
         cur = Representation(cur.spec, tuple(images))
-        res = _total_residual(p, cur)
+        res, inverses, products = _newton_state(p, cur)
     if res < tol_residual:
         return cur
     raise NewtonConvergenceError(
@@ -304,11 +298,9 @@ def tangent_report(p: GroupPresentation, rep: Representation,
                    tol: float = cxla.DEFAULT_RANK_TOL) -> TangentReport:
     """Ranks and dimensions at a representation satisfying the relators.
 
-    The rank is decided on the realified Jacobian [[Re, -Im], [Im, Re]],
-    whose rank is twice the complex rank; an odd real rank means the
-    threshold fell inside a split complex pair and flags the report
-    unreliable, as does a kept/dropped singular value margin below
-    MARGIN_CERTIFIED.  Reported dimensions are complex dimensions.
+    The rank is decided on the complex Jacobian at the relative cutoff tol;
+    a kept/dropped singular value margin below MARGIN_CERTIFIED flags the
+    report unreliable.  Reported dimensions are complex dimensions.
     """
     res = relator_residual(p, rep)
     if res >= RESIDUAL_CERT_BOUND:
@@ -320,11 +312,7 @@ def tangent_report(p: GroupPresentation, rep: Representation,
     d = spec.d
     m1 = p.num_generators
     m2 = p.num_relators
-    J = relator_jacobian(p, rep)
-    realified = np.block([[J.real, -J.imag], [J.imag, J.real]])
-    real_rank, margin = cxla.rank_and_margin(realified, tol)
-    even = real_rank % 2 == 0
-    rank = real_rank // 2
+    rank, margin = cxla.rank_and_margin(relator_jacobian(p, rep), tol)
     dim_Z1 = d * m1 - rank
     dim_B1 = d - centralizer_dim(list(rep.images), spec, tol)
     return TangentReport(
@@ -334,5 +322,5 @@ def tangent_report(p: GroupPresentation, rep: Representation,
         dim_H1=dim_Z1 - dim_B1,
         deficiency_floor=d * (m1 - m2),
         singular_values_margin=margin,
-        reliable=even and margin >= MARGIN_CERTIFIED,
+        reliable=margin >= MARGIN_CERTIFIED,
     )

@@ -8,7 +8,7 @@ string like ``"a^-3"`` is rejected rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Word",
@@ -18,7 +18,6 @@ __all__ = [
     "render_word",
     "free_reduce",
     "invert_word",
-    "concat_words",
     "is_reduced",
     "surface_presentation",
     "euler_characteristic",
@@ -64,9 +63,6 @@ class Word:
         """Largest generator index used, or -1 for the empty word."""
         return max((k for k, _ in self.letters), default=-1)
 
-    def exponent_sum(self, gen_index: int) -> int:
-        return sum(s for k, s in self.letters if k == gen_index)
-
 
 def is_reduced(w: Word) -> bool:
     return all(
@@ -88,14 +84,6 @@ def free_reduce(w: Word) -> Word:
 
 def invert_word(w: Word) -> Word:
     return Word(tuple((k, -s) for k, s in reversed(w.letters)))
-
-
-def concat_words(*ws: Word) -> Word:
-    """Plain concatenation, no reduction."""
-    letters: list = []
-    for w in ws:
-        letters.extend(w.letters)
-    return Word(tuple(letters))
 
 
 def parse_word(text: str, generator_names) -> Word:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import importlib
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
-from charbound.certify import (BOUND_MET, BOUND_VIOLATION_SUSPECT_INPUT,
+from charbound.certify import (_SCHEMA, BOUND_MET,
+                               BOUND_VIOLATION_SUSPECT_INPUT,
                                HYPOTHESES_NOT_MET, UNRELIABLE,
                                InputDocumentError, certify,
                                document_from_dict, goldman_check,
@@ -58,6 +61,10 @@ def test_schema_rejections():
         mutate(doc)
         with pytest.raises(InputDocumentError):
             document_from_dict(doc)
+
+
+def test_schema_passes_its_metaschema():
+    jsonschema.validators.validator_for(_SCHEMA).check_schema(_SCHEMA)
 
 
 def test_matrix_shape_rejections():
@@ -170,9 +177,9 @@ def test_certify_wrong_chi_flags_suspect_input(fig8_sl2_doc):
 
 
 def test_certify_coarse_rank_tol_is_unreliable(fig8_sl2_doc):
-    # realified relator Jacobian spectrum here is [12.41, 12.41, 2, 2, 0, 0];
-    # a cutoff at 0.2 * 12.41 drops the genuine 2.0 pair, so the margin falls
-    # to 12.41 / 2 ~ 6.2 < 10 while the structure checks (whose spectra are
+    # complex relator Jacobian spectrum here is [12.41, 2, ~0]; a cutoff
+    # at 0.2 * 12.41 drops the genuine 2.0, so the margin falls to
+    # 12.41 / 2 ~ 6.2 < 10 while the structure checks (whose spectra are
     # better separated) still return the true integers
     doc = fig8_sl2_doc.with_tolerances(tol_rank=0.2)
     report = certify(doc)
@@ -208,7 +215,7 @@ def test_certify_deterministic(fig8_sl2_doc):
 
 def test_report_to_dict_round_trips_through_json(fig8_sl2_doc):
     report = certify(fig8_sl2_doc)
-    payload = report_to_dict(report, fig8_sl2_doc.presentation)
+    payload = report_to_dict(report)
     decoded = json.loads(json.dumps(payload, allow_nan=False))
     assert decoded["verdict"] == BOUND_MET
     assert decoded["tangent"]["dim_H1"] == 1
@@ -237,6 +244,18 @@ def test_survey_free_group_constant(handlebody_doc):
 def test_survey_validates_samples(fig8_sl2_doc):
     with pytest.raises(ValueError):
         survey(fig8_sl2_doc, num_samples=0)
+
+
+def test_survey_propagates_programming_errors(fig8_sl2_doc, monkeypatch):
+    # only numerical failures are recorded per sample; a bug must surface
+    def broken(*args, **kwargs):
+        raise TypeError("programming error")
+
+    # charbound.certify is the function; the module comes from importlib
+    monkeypatch.setattr(importlib.import_module("charbound.certify"),
+                        "tangent_report", broken)
+    with pytest.raises(TypeError):
+        survey(fig8_sl2_doc, num_samples=2, seed=0)
 
 
 def test_goldman_check_dimensions():

@@ -242,6 +242,17 @@ def test_adjoint_operator_identity():
         assert np.allclose(adjoint_operator(np.eye(n)), np.eye(n * n - 1))
 
 
+def test_adjoint_operator_matches_per_basis_definition():
+    rng = np.random.default_rng(14)
+    for n in range(2, 7):
+        a = random_sl(rng, n)
+        ainv = np.linalg.inv(a)
+        expected = np.column_stack([sl_coords(a @ b @ ainv)
+                                    for b in sl_basis(n)])
+        got = adjoint_operator(a)
+        assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
+
+
 def test_adjoint_operator_is_multiplicative():
     rng = np.random.default_rng(13)
     for n in (2, 3):

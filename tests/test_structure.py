@@ -3,14 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from charbound.grouprep import (GroupSpec, Representation, evaluate_word,
-                                random_representation, sym_power_embedding)
-from charbound.structure import (CompanionSearchError,
-                                 NonCommutingPeripheralError,
+from charbound.grouprep import (GroupSpec, random_representation,
+                                sym_power_embedding)
+from charbound.structure import (NonCommutingPeripheralError,
                                  analyze_structure, centralizer_dim,
-                                 find_companion, is_irreducible_burnside,
-                                 is_regular)
-from charbound.words import GroupPresentation, PeripheralSpec, parse_word
+                                 is_irreducible_burnside, is_regular)
+from charbound.words import GroupPresentation
 from conftest import fixture_path, random_sl
 from charbound import load_document
 
@@ -136,53 +134,13 @@ def fig8_with_rep():
     return doc.presentation, doc.representation
 
 
-def test_find_companion_figure_eight():
-    p, rep = fig8_with_rep()
-    w = find_companion(p, rep, torus_index=0)
-    assert len(w) <= 2
-    # verify the claim independently
-    marking = p.peripheral[0]
-    mats = [evaluate_word(v, rep) for v in marking.words]
-    mats.append(evaluate_word(w, rep))
-    assert is_irreducible_burnside(mats, rep.spec) is True
-
-
-def test_find_companion_diagonal_image_fails():
-    p = GroupPresentation(
-        ("a", "b"), (),
-        (PeripheralSpec("torus", (parse_word("a", ("a", "b")),
-                                  parse_word("b", ("a", "b")))),),
-    )
-    rep = Representation(SL2, (np.diag([2.0, 0.5]), np.diag([3.0, 1 / 3.0])))
-    with pytest.raises(CompanionSearchError):
-        find_companion(p, rep, max_len=4)
-
-
-def test_find_companion_trivial_rep_fails():
-    p = GroupPresentation(
-        ("a", "b"), (),
-        (PeripheralSpec("torus", (parse_word("a", ("a", "b")),
-                                  parse_word("b", ("a", "b")))),),
-    )
-    rep = Representation(SL2, (np.eye(2), np.eye(2)))
-    with pytest.raises(CompanionSearchError):
-        find_companion(p, rep, max_len=3)
-
-
-def test_find_companion_validates_index():
-    p, rep = fig8_with_rep()
-    with pytest.raises(ValueError):
-        find_companion(p, rep, torus_index=1)
-
-
 def test_analyze_structure_figure_eight():
     p, rep = fig8_with_rep()
-    report = analyze_structure(p, rep, companion_max_len=4)
+    report = analyze_structure(p, rep)
     assert report.irreducible is True
     assert report.boundary_regular is True
     assert report.peripheral_centralizer_dims == (1,)
     assert report.centralizer_dim_full_image == 0
-    assert report.companion_word is not None
 
 
 def test_analyze_structure_no_boundary_is_vacuously_regular():

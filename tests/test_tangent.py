@@ -3,15 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from charbound import cxla
 from charbound.grouprep import (GroupSpec, Representation, adjoint_operator,
                                 evaluate_word, random_representation,
-                                relator_residual)
+                                relator_residual, sym_power_embedding)
 from charbound.tangent import (NewtonConvergenceError,
                                finite_difference_jacobian, fox_matrix,
                                fox_selftest_deviation, newton_refine,
                                random_selftest_pair, relator_jacobian,
                                tangent_report)
-from charbound.words import GroupPresentation, Word, free_reduce, parse_word
+from charbound.words import (GroupPresentation, Word, free_reduce, parse_word,
+                             surface_presentation)
 from conftest import fixture_path, random_sl
 from charbound import load_document
 
@@ -221,3 +223,30 @@ def test_commuting_pair_tangent_dimension():
     report = tangent_report(p, rep)
     assert report.dim_Z1 == 4
     assert report.singular_values_margin == float("inf")
+
+
+def test_complex_rank_is_half_the_realified_rank():
+    points = []
+    for name in ("figure_eight_sl2", "figure_eight_sl3", "handlebody_f2_sl2"):
+        doc = load_document(fixture_path(f"{name}.json"))
+        points.append((doc.presentation, doc.representation))
+    fig8 = GroupPresentation(GENS, (parse_word("abAbaBAbAB", GENS),))
+    a = np.array([[1, 1], [0, 1]])
+    b = np.array([[1, 0], [np.exp(-1j * np.pi / 3), 1]])
+    for n in (2, 3, 4):
+        points.append((fig8, Representation(GroupSpec(n), (
+            sym_power_embedding(a, n), sym_power_embedding(b, n)))))
+    genus_two = surface_presentation(2)
+    for n in (2, 3, 4, 6):
+        # images (A, B, B, A) satisfy the genus-2 relator exactly, as in
+        # goldman_check
+        A, B = random_representation(GroupPresentation(GENS), GroupSpec(n),
+                                     seed=n).images
+        points.append((genus_two, Representation(GroupSpec(n), (A, B, B, A))))
+    for p, rep in points:
+        J = relator_jacobian(p, rep)
+        realified = np.block([[J.real, -J.imag], [J.imag, J.real]])
+        real_rank, _ = cxla.rank_and_margin(realified)
+        rank, _ = cxla.rank_and_margin(J)
+        assert 2 * rank == real_rank
+        assert tangent_report(p, rep).jacobian_rank == rank
