@@ -284,11 +284,14 @@ def _decide_verdict(structure: StructureReport, tangent: TangentReport,
 def _certify_at(doc: InputDocument, rep: Representation,
                 basin_guard) -> CertReport:
     p = doc.presentation
-    refined = newton_refine(p, rep, tol_residual=doc.tol_residual,
-                            basin_guard=basin_guard)
+    refined = newton_refine(
+        p, rep, tol_residual=min(doc.tol_residual, RESIDUAL_CERT_BOUND),
+        basin_guard=basin_guard)
     residual = relator_residual(p, refined)
     structure = analyze_structure(p, refined, tol=doc.tol_rank)
-    tangent = tangent_report(p, refined, tol=doc.tol_rank)
+    tangent = tangent_report(
+        p, refined, tol=doc.tol_rank,
+        centralizer_dim_full_image=structure.centralizer_dim_full_image)
     manifold = ManifoldData(
         torus_count=p.torus_count,
         euler_characteristic=doc.euler_characteristic,

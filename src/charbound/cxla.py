@@ -40,15 +40,24 @@ def check_finite(a: np.ndarray) -> None:
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square, numerically nonsingular matrix."""
+    """Inverse of a square, numerically nonsingular matrix, or of every
+    matrix in a stack of shape (k, n, n).
+
+    One SVD and one inv call serve the whole stack; every member must pass
+    sigma_min/sigma_max > DEFAULT_RANK_TOL, and the error names the first
+    member of a stack that does not.
+    """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"inverse needs a square matrix, got shape {a.shape}")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= DEFAULT_RANK_TOL * s[0]:
+    s = np.linalg.svd(a, compute_uv=False).reshape(-1, a.shape[-1])
+    singular = np.flatnonzero(s[:, -1] <= DEFAULT_RANK_TOL * s[:, 0])
+    if singular.size:
+        k = singular[0]
+        which = "matrix" if a.ndim == 2 else f"matrix {k} of the stack"
         raise np.linalg.LinAlgError(
-            f"matrix is singular to tolerance (sigma_min/sigma_max = "
-            f"{s[-1] / s[0] if s[0] else 0.0:.3e})"
+            f"{which} is singular to tolerance (sigma_min/sigma_max = "
+            f"{s[k, -1] / s[k, 0] if s[k, 0] else 0.0:.3e})"
         )
     return np.linalg.inv(a)
 
@@ -100,10 +109,11 @@ def nullspace_dim(a: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
 
 def least_squares_step(J: np.ndarray, residual: np.ndarray,
                        tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Minimum-norm x with J x ~= -residual, via the SVD pseudoinverse.
+    """Minimum-norm x with J x ~= -residual (LAPACK zgelsd).
 
-    Uses the same relative singular-value cutoff as svd_rank, so
-    rank-deficient systems are handled without amplifying noise directions.
+    Singular values at or below tol * sigma_max are dropped, the same
+    relative cutoff as svd_rank, so rank-deficient systems are handled
+    without amplifying noise directions.
     """
     J = np.asarray(J, dtype=np.complex128)
     residual = np.asarray(residual, dtype=np.complex128).reshape(-1)
@@ -113,10 +123,4 @@ def least_squares_step(J: np.ndarray, residual: np.ndarray,
         )
     if J.size == 0:
         return np.zeros(J.shape[1], dtype=np.complex128)
-    u, s, vh = np.linalg.svd(J, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(J.shape[1], dtype=np.complex128)
-    keep = s > tol * s[0]
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return -(vh.conj().T @ (inv_s * (u.conj().T @ residual)))
+    return np.linalg.lstsq(J, -residual, rcond=tol)[0]

@@ -103,9 +103,11 @@ class Representation:
 
 def image_inverses(words, images) -> dict:
     """Generator index -> inverse of its image, for every generator that
-    some word uses inverted; each image is inverted once."""
-    inverted = {k for w in words for k, s in w.letters if s == -1}
-    return {k: cxla.inverse(m) for k, m in enumerate(images) if k in inverted}
+    some word uses inverted; one stacked inverse call covers them all."""
+    inverted = sorted({k for w in words for k, s in w.letters if s == -1})
+    if not inverted:
+        return {}
+    return dict(zip(inverted, cxla.inverse([images[k] for k in inverted])))
 
 
 def word_products(w: Word, images, inverses):
@@ -179,13 +181,14 @@ def sym_power_embedding(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def project_det(m: np.ndarray) -> np.ndarray:
-    """Rescale by the principal n-th root of det so the result has det 1."""
+    """Rescale by the principal n-th root of det so the result has det 1;
+    a stack of shape (k, n, n) is rescaled member by member."""
     m = np.asarray(m, dtype=np.complex128)
-    n = m.shape[0]
+    n = m.shape[-1]
     det = np.linalg.det(m)
-    if det == 0:
+    if np.any(det == 0):
         raise ValueError("cannot normalize a singular matrix to determinant 1")
-    return m / np.exp(np.log(det) / n)
+    return m / np.exp(np.log(det) / n)[..., None, None]
 
 
 def random_representation(p: GroupPresentation, spec: GroupSpec,

@@ -46,9 +46,8 @@ def centralizer_dim(mats, spec: GroupSpec, tol: float = cxla.DEFAULT_RANK_TOL) -
     """dim of {X in sl(n) : X A_i = A_i X for all i}.
 
     Column k of the stacked operator holds the vectorized commutators
-    [B_k, A_i] of the trace-zero basis elements, row-major
-    vec(X A - A X) = (kron(I, A^T) - kron(A, I)) vec(X); its nullspace is
-    the centralizer.
+    [B_k, A_i] = B_k A_i - A_i B_k of the trace-zero basis elements, one
+    batched product per side; its nullspace is the centralizer.
     """
     mats = [cxla.as_matrix(m) for m in mats]
     n = spec.n
@@ -58,8 +57,9 @@ def centralizer_dim(mats, spec: GroupSpec, tol: float = cxla.DEFAULT_RANK_TOL) -
     if not mats:
         return spec.d
     B, _ = sl_projections(n)
-    eye = np.eye(n, dtype=np.complex128)
-    op = np.vstack([(np.kron(eye, a.T) - np.kron(a, eye)) @ B for a in mats])
+    basis = B.T.reshape(1, -1, n, n)
+    A = np.array(mats)[:, None]
+    op = (basis @ A - A @ basis).transpose(0, 2, 3, 1).reshape(-1, spec.d)
     return cxla.nullspace_dim(op, tol)
 
 
@@ -110,17 +110,16 @@ def is_irreducible_burnside(mats, spec: GroupSpec,
     for m in mats:
         if m.shape != (n, n):
             raise ValueError(f"expected ({n}, {n}) matrices, got {m.shape}")
-    seed_rows = np.vstack([np.eye(n, dtype=np.complex128).reshape(1, -1)]
-                          + [m.reshape(1, -1) for m in mats])
+    stack = np.array(mats)
+    seed_rows = np.vstack([np.eye(n, dtype=np.complex128).reshape(1, -1),
+                           stack.reshape(-1, n * n)])
     basis = _orthonormal_rows(seed_rows, tol)
     for _ in range(2 * n * n):
         dim = basis.shape[0]
         if dim == n * n:
             return True
-        products = [
-            (b.reshape(n, n) @ m).reshape(-1) for b in basis for m in mats
-        ]
-        basis = _orthonormal_rows(np.vstack([basis, np.array(products)]), tol)
+        products = (basis.reshape(dim, 1, n, n) @ stack).reshape(-1, n * n)
+        basis = _orthonormal_rows(np.vstack([basis, products]), tol)
         if basis.shape[0] == dim:
             break
     return basis.shape[0] == n * n

@@ -85,39 +85,45 @@ def _ambient_blocks(w: Word, prefixes, suffixes, m1: int) -> np.ndarray:
 
     Per letter occurrence, with P = prefix product and S = suffix product:
     positive letters contribute kron(P, S^T), inverse letters
-    -kron(P', S'^T) with P', S' the products including the letter.
+    -kron(P', S'^T) with P', S' the products including the letter.  The
+    occurrences of one generator are summed by a single product of the
+    stacked vec(P) and vec(S^T), then permuted into kron layout.
     """
     n = prefixes[0].shape[0]
     nn = n * n
     K = np.zeros((nn, nn * m1), dtype=np.complex128)
-    for t, (k, s) in enumerate(w.letters):
-        if s == 1:
-            block = np.kron(prefixes[t], suffixes[t + 1].T)
-        else:
-            block = -np.kron(prefixes[t + 1], suffixes[t].T)
-        K[:, k * nn:(k + 1) * nn] += block
+    gens, signs = np.array(w.letters, dtype=int).reshape(-1, 2).T
+    inv = (signs == -1).astype(int)
+    t = np.arange(len(gens))
+    P = (np.array(prefixes)[t + inv] * signs[:, None, None]).reshape(-1, nn)
+    S = np.array(suffixes)[t + 1 - inv].transpose(0, 2, 1).reshape(-1, nn)
+    for k in np.unique(gens):
+        sel = gens == k
+        K[:, k * nn:(k + 1) * nn] = (P[sel].T @ S[sel]).reshape(
+            n, n, n, n).transpose(0, 2, 1, 3).reshape(nn, nn)
     return K
 
 
 def _fox_rows(w: Word, rep: Representation, inverses) -> np.ndarray:
     """d x d m1 Fox derivatives of w by every generator, through Ad(rho).
 
-    The ambient block of generator j is composed with X -> X A_j (the
-    left-translated tangent direction, kron(I, A_j^T) on row-major vecs),
-    right-translated by rho(w)^{-1} and projected to sl(n) coordinates.
-    In exact arithmetic this is sum Ad(prefix before each positive
-    occurrence) - sum Ad(prefix through each inverse occurrence), at any
-    representation, not only at solutions.
+    The ambient columns vec(Y) are right-translated, Y -> Y rho(w)^{-1},
+    and projected to sl(n) coordinates; the block of generator j is then
+    composed with X -> X A_j (the left-translated tangent direction),
+    whose matrix on sl_basis coordinates is vec(basis @ A_j).  In exact
+    arithmetic this is sum Ad(prefix before each positive occurrence) -
+    sum Ad(prefix through each inverse occurrence), at any representation,
+    not only at solutions.
     """
     n = rep.spec.n
     nn = n * n
     m1 = rep.num_generators
     B, C = sl_projections(n)
-    eye = np.eye(n, dtype=np.complex128)
+    basis = B.T.reshape(-1, n, n)
     prefixes, suffixes = word_products(w, rep.images, inverses)
-    left = C @ np.kron(eye, cxla.inverse(prefixes[-1]).T)
-    K = left @ _ambient_blocks(w, prefixes, suffixes, m1)
-    return np.hstack([K[:, j * nn:(j + 1) * nn] @ np.kron(eye, a.T) @ B
+    K = _ambient_blocks(w, prefixes, suffixes, m1).reshape(n, n, -1)
+    K = C @ (cxla.inverse(prefixes[-1]).T @ K).reshape(nn, -1)
+    return np.hstack([K[:, j * nn:(j + 1) * nn] @ (basis @ a).reshape(-1, nn).T
                       for j, a in enumerate(rep.images)])
 
 
@@ -178,18 +184,20 @@ def finite_difference_jacobian(p: GroupPresentation, rep: Representation,
 
 def _newton_state(p: GroupPresentation, rep: Representation):
     """Residual of the relator + determinant equations, and what the
-    ambient system needs: every image's inverse (the determinant rows use
-    them all) and the relator products."""
-    inverses = [cxla.inverse(m) for m in rep.images]
+    ambient system needs: the inverses and determinants of all images (the
+    determinant rows use them all) and the relator products."""
+    images = np.array(rep.images)
+    inverses = cxla.inverse(images)
+    dets = np.linalg.det(images)
     products = [word_products(rel, rep.images, inverses) for rel in p.relators]
     eye = np.eye(rep.spec.n)
     res = max([float(np.linalg.norm(prefixes[-1] - eye))
-               for prefixes, _ in products] + [rep.max_det_deviation()])
-    return res, inverses, products
+               for prefixes, _ in products] + np.abs(dets - 1.0).tolist())
+    return res, (inverses, dets, products)
 
 
 def _ambient_system(p: GroupPresentation, rep: Representation, inverses,
-                    products):
+                    dets, products):
     """Residual vector and Jacobian of the relator + determinant equations
     in ambient coordinates.  Everything is polynomial in the entries, so
     the complex (holomorphic) Newton step is valid.
@@ -201,7 +209,6 @@ def _ambient_system(p: GroupPresentation, rep: Representation, inverses,
     F = [(prefixes[-1] - eye).reshape(-1) for prefixes, _ in products]
     J = [_ambient_blocks(rel, prefixes, suffixes, m1)
          for rel, (prefixes, suffixes) in zip(p.relators, products)]
-    dets = np.array([np.linalg.det(m) for m in rep.images])
     det_rows = np.zeros((m1, nn * m1), dtype=np.complex128)
     for g, inv in enumerate(inverses):
         det_rows[g, g * nn:(g + 1) * nn] = dets[g] * inv.T.reshape(-1)
@@ -222,8 +229,7 @@ def newton_refine(p: GroupPresentation, rep: Representation,
     for survey perturbations that are known rough but safe).
     """
     n = rep.spec.n
-    nn = n * n
-    res, inverses, products = _newton_state(p, rep)
+    res, state = _newton_state(p, rep)
     if basin_guard is not None and res > basin_guard:
         raise NewtonConvergenceError(
             res, f"starting residual exceeds the basin guard {basin_guard:g}"
@@ -232,14 +238,11 @@ def newton_refine(p: GroupPresentation, rep: Representation,
     for _ in range(max_iter):
         if res < tol_residual:
             return cur
-        F, J = _ambient_system(p, cur, inverses, products)
-        step = cxla.least_squares_step(J, F)
-        images = []
-        for g in range(cur.num_generators):
-            m = cur.images[g] + step[g * nn:(g + 1) * nn].reshape(n, n)
-            images.append(project_det(m))
-        cur = Representation(cur.spec, tuple(images))
-        res, inverses, products = _newton_state(p, cur)
+        F, J = _ambient_system(p, cur, *state)
+        step = cxla.least_squares_step(J, F).reshape(-1, n, n)
+        cur = Representation(cur.spec, tuple(project_det(
+            np.array(cur.images) + step)))
+        res, state = _newton_state(p, cur)
     if res < tol_residual:
         return cur
     raise NewtonConvergenceError(
@@ -295,12 +298,16 @@ def fox_selftest_deviation(p: GroupPresentation, rep: Representation,
 
 
 def tangent_report(p: GroupPresentation, rep: Representation,
-                   tol: float = cxla.DEFAULT_RANK_TOL) -> TangentReport:
+                   tol: float = cxla.DEFAULT_RANK_TOL, *,
+                   centralizer_dim_full_image: "int | None" = None,
+                   ) -> TangentReport:
     """Ranks and dimensions at a representation satisfying the relators.
 
     The rank is decided on the complex Jacobian at the relative cutoff tol;
     a kept/dropped singular value margin below MARGIN_CERTIFIED flags the
-    report unreliable.  Reported dimensions are complex dimensions.
+    report unreliable.  Reported dimensions are complex dimensions.  A
+    caller that already has the full image's centralizer dimension at tol
+    passes it as centralizer_dim_full_image instead of recomputing it.
     """
     res = relator_residual(p, rep)
     if res >= RESIDUAL_CERT_BOUND:
@@ -314,7 +321,9 @@ def tangent_report(p: GroupPresentation, rep: Representation,
     m2 = p.num_relators
     rank, margin = cxla.rank_and_margin(relator_jacobian(p, rep), tol)
     dim_Z1 = d * m1 - rank
-    dim_B1 = d - centralizer_dim(list(rep.images), spec, tol)
+    if centralizer_dim_full_image is None:
+        centralizer_dim_full_image = centralizer_dim(list(rep.images), spec, tol)
+    dim_B1 = d - centralizer_dim_full_image
     return TangentReport(
         jacobian_rank=rank,
         dim_Z1=dim_Z1,

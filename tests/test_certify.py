@@ -13,7 +13,9 @@ from charbound.certify import (_SCHEMA, BOUND_MET,
                                InputDocumentError, certify,
                                document_from_dict, goldman_check,
                                load_document, report_to_dict, survey)
-from charbound.grouprep import GroupSpec, random_representation
+from charbound.grouprep import (GroupSpec, random_representation,
+                                sym_power_embedding)
+from charbound.tangent import NewtonConvergenceError
 from charbound.words import GroupPresentation
 from conftest import fixture_path
 
@@ -152,6 +154,35 @@ def test_certify_handlebody(handlebody_doc):
     assert report.dim_X0_estimate == 3
     assert report.bound.general_bound == 3
     assert report.residual == 0.0
+
+
+def sym_power_fig8_dict(n, residual):
+    """Figure-eight document at the sym^(n-1) point of the SL(2) holonomy,
+    with a document-level residual tolerance."""
+    a = np.array([[1, 1], [0, 1]])
+    b = np.array([[1, 0], [np.exp(-1j * np.pi / 3), 1]])
+    data = fig8_dict(2)
+    data["group"]["n"] = n
+    data["representation"] = {
+        g: [[[float(z.real), float(z.imag)] for z in row]
+            for row in sym_power_embedding(m, n)]
+        for g, m in (("a", a), ("b", b))
+    }
+    data["tolerances"] = {"residual": residual}
+    return data
+
+
+def test_certify_caps_residual_target_at_certification_bound():
+    # a loose document tolerance still refines below the certification
+    # bound, so a point that cannot get there fails in Newton, typed
+    for n in (5, 6):
+        report = certify(document_from_dict(sym_power_fig8_dict(n, 1e-6)))
+        assert report.verdict == BOUND_MET
+        assert report.residual < 1e-9
+    # sym^7 starts near 2e-8, above the bound, and its round-off floor
+    # stays there
+    with pytest.raises(NewtonConvergenceError):
+        certify(document_from_dict(sym_power_fig8_dict(8, 1e-6)))
 
 
 def test_certify_reducible_rep_fails_hypotheses():

@@ -131,3 +131,44 @@ def test_as_matrix_rejects_nonfinite():
         cxla.as_matrix([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         cxla.as_matrix([1.0, 2.0])
+
+
+def test_least_squares_step_matches_truncated_pseudoinverse():
+    # one singular value just above the cutoff tol * sigma_max is kept,
+    # one just below is dropped
+    rng = np.random.default_rng(9)
+    tol = cxla.DEFAULT_RANK_TOL
+    s = np.array([2.0, 1.0, 0.5, 1.1 * tol * 2.0, 0.9 * tol * 2.0])
+    u = random_su(rng, 7)[:, :5]
+    v = random_su(rng, 5)
+    J = u @ np.diag(s) @ v.conj().T
+    r = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    uu, ss, vh = np.linalg.svd(J, full_matrices=False)
+    keep = ss > tol * ss[0]
+    assert keep.sum() == 4
+    expected = -(vh[keep].conj().T @ ((uu[:, keep].conj().T @ r) / ss[keep]))
+    x = cxla.least_squares_step(J, r)
+    assert np.linalg.norm(x - expected) <= 1e-6 * np.linalg.norm(expected)
+    assert np.allclose(cxla.least_squares_step(np.zeros((4, 3)), r[:4]), 0)
+    assert cxla.least_squares_step(np.zeros((0, 3)), np.zeros(0)).shape == (3,)
+    assert cxla.least_squares_step(np.zeros((3, 0)), r[:3]).shape == (0,)
+
+
+def test_inverse_stack_matches_members():
+    rng = np.random.default_rng(10)
+    stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    stack += 3 * np.eye(3)
+    inverses = cxla.inverse(stack)
+    assert inverses.shape == stack.shape
+    for a, inv in zip(stack, inverses):
+        assert np.allclose(inv, cxla.inverse(a), rtol=1e-12, atol=1e-14)
+    assert cxla.inverse(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    with pytest.raises(ValueError):
+        cxla.inverse(np.zeros((2, 2, 3)))
+
+
+def test_inverse_stack_names_singular_member():
+    stack = np.array([np.eye(2), np.diag([2.0, 0.5]),
+                      [[1.0, 2.0], [2.0, 4.0]], np.eye(2)])
+    with pytest.raises(np.linalg.LinAlgError, match="matrix 2 of the stack"):
+        cxla.inverse(stack)

@@ -7,14 +7,15 @@ from charbound import cxla
 from charbound.grouprep import (GroupSpec, Representation, adjoint_operator,
                                 evaluate_word, random_representation,
                                 relator_residual, sym_power_embedding)
-from charbound.tangent import (NewtonConvergenceError,
-                               finite_difference_jacobian, fox_matrix,
+from charbound.tangent import (NewtonConvergenceError, _ambient_system,
+                               _newton_state, finite_difference_jacobian,
+                               fox_matrix,
                                fox_selftest_deviation, newton_refine,
                                random_selftest_pair, relator_jacobian,
                                tangent_report)
 from charbound.words import (GroupPresentation, Word, free_reduce, parse_word,
                              surface_presentation)
-from conftest import fixture_path, random_sl
+from conftest import fixture_path, random_sl, random_su
 from charbound import load_document
 
 GENS = ("a", "b")
@@ -250,3 +251,51 @@ def test_complex_rank_is_half_the_realified_rank():
         rank, _ = cxla.rank_and_margin(J)
         assert 2 * rank == real_rank
         assert tangent_report(p, rep).jacobian_rank == rank
+
+
+def raw_equations(p, images):
+    """Relator entries minus the identity, then det - 1 per image, from
+    plain products and np.linalg.inv: the map whose derivative Newton's
+    ambient Jacobian claims to be."""
+    n = images[0].shape[0]
+    out = []
+    for rel in p.relators:
+        value = np.eye(n, dtype=complex)
+        for k, s in rel.letters:
+            value = value @ (images[k] if s == 1 else np.linalg.inv(images[k]))
+        out.append((value - np.eye(n)).reshape(-1))
+    out.append(np.array([np.linalg.det(m) for m in images]) - 1.0)
+    return np.concatenate(out)
+
+
+def test_ambient_jacobian_matches_central_differences():
+    # holomorphic in the entries, so a real step along each raw entry gives
+    # the complex derivative; errors as in fox_selftest_deviation
+    rng = np.random.default_rng(21)
+    step = 1e-7
+    for n in (2, 3, 4):
+        for _ in range(3):
+            num_gens = int(rng.integers(2, 4))
+            relators = []
+            while len(relators) < 2:
+                w = random_reduced_word(rng, num_gens, max_len=12)
+                gens = [k for k, _ in w.letters]
+                if len(set(gens)) < len(gens) and any(
+                        s == -1 for _, s in w.letters):
+                    relators.append(w)
+            p = GroupPresentation(tuple("abc"[:num_gens]), tuple(relators))
+            images = [random_su(rng, n) for _ in range(num_gens)]
+            rep = Representation(GroupSpec(n), tuple(images))
+            _, state = _newton_state(p, rep)
+            F, J = _ambient_system(p, rep, *state)
+            assert np.allclose(F, raw_equations(p, images), atol=1e-12)
+            cols = []
+            for g in range(num_gens):
+                for e in np.eye(n * n):
+                    shift = step * e.reshape(n, n)
+                    plus, minus = list(images), list(images)
+                    plus[g] = images[g] + shift
+                    minus[g] = images[g] - shift
+                    cols.append((raw_equations(p, plus)
+                                 - raw_equations(p, minus)) / (2 * step))
+            assert np.max(np.abs(J - np.column_stack(cols))) < 1e-6
