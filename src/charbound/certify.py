@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import jsonschema
 import numpy as np
@@ -190,7 +190,8 @@ def _parse_matrix(value, n: int, gen: str) -> np.ndarray:
             )
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) for x in entry)):
+                    or not all(isinstance(x, (int, float))
+                               and not isinstance(x, bool) for x in entry)):
                 raise InputDocumentError(
                     f"representation of {gen!r}, entry ({i},{j}): expected a "
                     f"[re, im] pair, got {entry!r}"
@@ -378,17 +379,13 @@ def goldman_check(g: int, spec: GroupSpec, seed: int = 0) -> GoldmanReport:
     for attempt in range(GOLDMAN_MAX_ATTEMPTS):
         free = GroupPresentation(p.generator_names)
         draw = random_representation(free, spec, seed + attempt)
-        a1, b1 = draw.images[0], draw.images[1]
-        images = [a1, b1, b1, a1]
-        for k in range(2, g):
-            images.append(draw.images[2 * k])
-            images.append(draw.images[2 * k])
-        rep = Representation(spec, tuple(images))
+        pairs = [0, 1, 1, 0] + [2 * k for k in range(2, g) for _ in range(2)]
+        rep = Representation(spec, draw.images[pairs])
         residual = relator_residual(p, rep)
         if residual >= RESIDUAL_CERT_BOUND:
             last_error = f"residual {residual:.3e} too large"
             continue
-        if not is_irreducible_burnside(list(rep.images), spec):
+        if not is_irreducible_burnside(rep.images, spec):
             last_error = "drawn representation is reducible"
             continue
         tangent = tangent_report(p, rep)
@@ -426,41 +423,7 @@ def _jsonable(value):
     return value
 
 
-def report_to_dict(report: CertReport) -> dict:
-    """CertReport as plain JSON-ready data; infinities become "inf"."""
-    s = report.structure
-    t = report.tangent
-    b = report.bound
-    return {
-        "residual": _jsonable(report.residual),
-        "structure": {
-            "centralizer_dim_full_image": s.centralizer_dim_full_image,
-            "peripheral_centralizer_dims": list(s.peripheral_centralizer_dims),
-            "irreducible": s.irreducible,
-            "boundary_regular": s.boundary_regular,
-        },
-        "tangent": {
-            "jacobian_rank": t.jacobian_rank,
-            "dim_Z1": t.dim_Z1,
-            "dim_B1": t.dim_B1,
-            "dim_H1": t.dim_H1,
-            "deficiency_floor": t.deficiency_floor,
-            "singular_values_margin": _jsonable(t.singular_values_margin),
-            "reliable": t.reliable,
-        },
-        "manifold": {
-            "torus_count": report.manifold.torus_count,
-            "euler_characteristic": report.manifold.euler_characteristic,
-        },
-        "bound": {
-            "general_bound": b.general_bound,
-            "formula_used": b.formula_used,
-            "t": b.t,
-            "chi": b.chi,
-            "d": b.d,
-            "r": b.r,
-            "z": b.z,
-        },
-        "dim_X0_estimate": report.dim_X0_estimate,
-        "verdict": report.verdict,
-    }
+def report_to_dict(report) -> dict:
+    """A report dataclass (CertReport, GoldmanReport, BoundReport, ...) as
+    plain JSON-ready data in field order; infinities become "inf"."""
+    return _jsonable(asdict(report))

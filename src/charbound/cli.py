@@ -135,13 +135,8 @@ def _cmd_bound(args) -> int:
     report = thurston_bound(manifold, spec)
     agreement = sl_n_bound(manifold, args.n)
     if args.json:
-        print(json.dumps({
-            "general_bound": report.general_bound,
-            "formula_used": report.formula_used,
-            "t": report.t, "chi": report.chi,
-            "d": report.d, "r": report.r, "z": report.z,
-            "sl_n_bound": agreement,
-        }, indent=2))
+        print(json.dumps({**report_to_dict(report), "sl_n_bound": agreement},
+                         indent=2))
     else:
         print(f"SL({args.n}): d={report.d} r={report.r} z={report.z}")
         print(f"bound  r*t - d*chi + z = {report.r}*{report.t} - "
@@ -203,17 +198,7 @@ def _cmd_goldman(args) -> int:
     spec = GroupSpec(n=args.n)
     report = goldman_check(args.genus, spec, args.seed)
     if args.json:
-        print(json.dumps({
-            "genus": report.genus,
-            "n": report.n,
-            "expected_dim_Z1": report.expected_dim_Z1,
-            "dim_Z1": report.dim_Z1,
-            "residual": report.residual,
-            "margin": ("inf" if report.margin == float("inf")
-                       else report.margin),
-            "attempts": report.attempts,
-            "ok": report.ok,
-        }, indent=2))
+        print(json.dumps(report_to_dict(report), indent=2))
     else:
         print(f"genus {report.genus}, SL({report.n}): expected dim Z1 = "
               f"(2g-1)d + z = {report.expected_dim_Z1}")

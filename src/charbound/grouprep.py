@@ -9,7 +9,7 @@ SL(2) -> SL(n) on symmetric powers, and draws seeded random representations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -20,7 +20,6 @@ from .words import GroupPresentation, Word
 __all__ = [
     "GroupSpec",
     "Representation",
-    "image_inverses",
     "word_products",
     "evaluate_word",
     "relator_values",
@@ -67,62 +66,69 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class Representation:
-    """Generator-indexed matrix images, immutable after construction."""
+    """Generator images of one point, immutable after construction.
+
+    images is a read-only (m1, n, n) complex128 copy of the input, dets
+    its determinants, and inverses the images' inverses, computed on first
+    use by one guarded cxla.inverse call (LinAlgError if any image is
+    numerically singular) and kept.
+    """
 
     spec: GroupSpec
-    images: tuple
+    images: np.ndarray
+    dets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        images = tuple(cxla.as_matrix(m) for m in self.images)
-        object.__setattr__(self, "images", images)
         n = self.spec.n
-        for k, m in enumerate(images):
+        mats = [np.asarray(m, dtype=np.complex128) for m in self.images]
+        for k, m in enumerate(mats):
             if m.shape != (n, n):
                 raise ValueError(
                     f"image {k} has shape {m.shape}, expected ({n}, {n})"
                 )
-            dev = abs(np.linalg.det(m) - 1.0)
-            if dev > DET_SANITY_TOL:
-                raise ValueError(
-                    f"image {k} has |det - 1| = {dev:.3e}; not close to SL({n})"
-                )
+        images = np.array(mats).reshape(-1, n, n)
+        cxla.check_finite(images)
+        dets = np.linalg.det(images)
+        dev = np.abs(dets - 1.0)
+        bad = np.flatnonzero(dev > DET_SANITY_TOL)
+        if bad.size:
+            raise ValueError(f"image {bad[0]} has |det - 1| = "
+                             f"{dev[bad[0]]:.3e}; not close to SL({n})")
+        images.flags.writeable = False
+        dets.flags.writeable = False
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "dets", dets)
 
     @property
     def num_generators(self) -> int:
         return len(self.images)
 
-    def max_det_deviation(self) -> float:
-        return max(
-            (abs(np.linalg.det(m) - 1.0) for m in self.images), default=0.0
-        )
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """Read-only inverses of the images, from one guarded stacked call."""
+        inverses = cxla.inverse(self.images)
+        inverses.flags.writeable = False
+        return inverses
 
     def conjugate(self, g: np.ndarray) -> "Representation":
-        ginv = cxla.inverse(g)
-        return Representation(self.spec, tuple(g @ m @ ginv for m in self.images))
+        return Representation(self.spec, g @ self.images @ cxla.inverse(g))
 
 
-def image_inverses(words, images) -> dict:
-    """Generator index -> inverse of its image, for every generator that
-    some word uses inverted; one stacked inverse call covers them all."""
-    inverted = sorted({k for w in words for k, s in w.letters if s == -1})
-    if not inverted:
-        return {}
-    return dict(zip(inverted, cxla.inverse([images[k] for k in inverted])))
-
-
-def word_products(w: Word, images, inverses):
+def word_products(w: Word, rep: Representation):
     """Prefix and suffix products of the letter images along w.
 
     prefixes[t] is the product of the first t letters and suffixes[t] that
     of the letters from t on, so prefixes[-1] and suffixes[0] are both the
-    image of w.  inverses maps generator indices to inverted images (see
-    image_inverses).  This is the only place that multiplies along a word.
+    image of w.  Inverse letters read rep.inverses.  This is the only place
+    that multiplies along a word.
     """
+    images = rep.images
     if w.max_index() >= len(images):
         raise ValueError(f"word uses generator index {w.max_index()}; "
                          f"representation has {len(images)} images")
+    inverses = rep.inverses if any(s == -1 for _, s in w.letters) else None
     mats = [images[k] if s == 1 else inverses[k] for k, s in w.letters]
-    eye = np.eye(images[0].shape[0], dtype=np.complex128)
+    eye = np.eye(rep.spec.n, dtype=np.complex128)
     prefixes = [eye]
     for m in mats:
         prefixes.append(prefixes[-1] @ m)
@@ -134,21 +140,19 @@ def word_products(w: Word, images, inverses):
 
 def evaluate_word(w: Word, rep: Representation) -> np.ndarray:
     """Product of generator images along the word; empty word -> identity."""
-    prefixes, _ = word_products(w, rep.images, image_inverses([w], rep.images))
-    return prefixes[-1]
+    return word_products(w, rep)[0][-1]
 
 
-def relator_values(p: GroupPresentation, images) -> list:
-    """Image of each relator under the generator images."""
-    inverses = image_inverses(p.relators, images)
-    return [word_products(rel, images, inverses)[0][-1] for rel in p.relators]
+def relator_values(p: GroupPresentation, rep: Representation) -> list:
+    """Image of each relator under the representation."""
+    return [word_products(rel, rep)[0][-1] for rel in p.relators]
 
 
 def relator_residual(p: GroupPresentation, rep: Representation) -> float:
     """max over relators of the Frobenius distance of the image from I."""
     eye = np.eye(rep.spec.n)
     return max((float(np.linalg.norm(v - eye))
-                for v in relator_values(p, rep.images)), default=0.0)
+                for v in relator_values(p, rep)), default=0.0)
 
 
 def sym_power_embedding(m: np.ndarray, n: int) -> np.ndarray:
@@ -200,7 +204,7 @@ def random_representation(p: GroupPresentation, spec: GroupSpec,
     for _ in range(p.num_generators):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         images.append(project_det(m))
-    return Representation(spec, tuple(images))
+    return Representation(spec, images)
 
 
 def sl_basis(n: int) -> list:

@@ -131,8 +131,8 @@ def analyze_structure(p: GroupPresentation, rep: Representation,
 
     boundary_regular is vacuously true with no torus markings.
     """
-    cdim = centralizer_dim(list(rep.images), rep.spec, tol)
-    irreducible = is_irreducible_burnside(list(rep.images), rep.spec, tol)
+    cdim = centralizer_dim(rep.images, rep.spec, tol)
+    irreducible = is_irreducible_burnside(rep.images, rep.spec, tol)
     peripheral_dims = []
     boundary_regular = True
     for marking in p.peripheral:

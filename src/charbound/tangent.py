@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cxla
-from .grouprep import (GroupSpec, Representation, image_inverses,
-                       project_det, relator_residual, relator_values,
-                       sl_basis, sl_coords, sl_projections, word_products)
+from .grouprep import (GroupSpec, Representation, project_det,
+                       relator_residual, relator_values, sl_basis, sl_coords,
+                       sl_projections, word_products)
 from .structure import centralizer_dim
 from .words import GroupPresentation, Word, free_reduce, is_reduced
 
@@ -104,7 +104,7 @@ def _ambient_blocks(w: Word, prefixes, suffixes, m1: int) -> np.ndarray:
     return K
 
 
-def _fox_rows(w: Word, rep: Representation, inverses) -> np.ndarray:
+def _fox_rows(w: Word, rep: Representation) -> np.ndarray:
     """d x d m1 Fox derivatives of w by every generator, through Ad(rho).
 
     The ambient columns vec(Y) are right-translated, Y -> Y rho(w)^{-1},
@@ -120,7 +120,7 @@ def _fox_rows(w: Word, rep: Representation, inverses) -> np.ndarray:
     m1 = rep.num_generators
     B, C = sl_projections(n)
     basis = B.T.reshape(-1, n, n)
-    prefixes, suffixes = word_products(w, rep.images, inverses)
+    prefixes, suffixes = word_products(w, rep)
     K = _ambient_blocks(w, prefixes, suffixes, m1).reshape(n, n, -1)
     K = C @ (cxla.inverse(prefixes[-1]).T @ K).reshape(nn, -1)
     return np.hstack([K[:, j * nn:(j + 1) * nn] @ (basis @ a).reshape(-1, nn).T
@@ -138,7 +138,7 @@ def fox_matrix(w: Word, gen_index: int, rep: Representation) -> np.ndarray:
     if not is_reduced(w):
         raise ValueError("fox_matrix expects a freely reduced word")
     d = rep.spec.d
-    rows = _fox_rows(w, rep, image_inverses([w], rep.images))
+    rows = _fox_rows(w, rep)
     return rows[:, gen_index * d:(gen_index + 1) * d]
 
 
@@ -148,8 +148,7 @@ def relator_jacobian(p: GroupPresentation, rep: Representation) -> np.ndarray:
     m1 = p.num_generators
     if not p.relators:
         return np.zeros((0, d * m1), dtype=np.complex128)
-    inverses = image_inverses(p.relators, rep.images)
-    return np.vstack([_fox_rows(rel, rep, inverses) for rel in p.relators])
+    return np.vstack([_fox_rows(rel, rep) for rel in p.relators])
 
 
 def finite_difference_jacobian(p: GroupPresentation, rep: Representation,
@@ -165,16 +164,17 @@ def finite_difference_jacobian(p: GroupPresentation, rep: Representation,
     m1 = rep.num_generators
     if not p.relators:
         return np.zeros((0, d * m1), dtype=np.complex128)
-    base_invs = [cxla.inverse(v) for v in relator_values(p, rep.images)]
+    base_invs = cxla.inverse(relator_values(p, rep))
     eye = np.eye(n, dtype=np.complex128)
     cols = []
     for j in range(m1):
         for X in sl_basis(n):
             values = []
             for sign in (+1, -1):
-                images = list(rep.images)
+                images = rep.images.copy()
                 images[j] = (eye + sign * step * X) @ images[j]
-                values.append(relator_values(p, images))
+                perturbed = Representation(rep.spec, images)
+                values.append(relator_values(p, perturbed))
             plus, minus = values
             cols.append(np.concatenate([
                 sl_coords((hi - lo) / (2.0 * step) @ inv)
@@ -183,21 +183,20 @@ def finite_difference_jacobian(p: GroupPresentation, rep: Representation,
 
 
 def _newton_state(p: GroupPresentation, rep: Representation):
-    """Residual of the relator + determinant equations, and what the
-    ambient system needs: the inverses and determinants of all images (the
-    determinant rows use them all) and the relator products."""
-    images = np.array(rep.images)
-    inverses = cxla.inverse(images)
-    dets = np.linalg.det(images)
-    products = [word_products(rel, rep.images, inverses) for rel in p.relators]
+    """Residual of the relator + determinant equations, and the state the
+    ambient system takes after p and rep: the relator products.  The
+    determinant rows use every image's inverse, so the inverse guard runs
+    here even without relators.
+    """
+    rep.inverses
+    products = [word_products(rel, rep) for rel in p.relators]
     eye = np.eye(rep.spec.n)
     res = max([float(np.linalg.norm(prefixes[-1] - eye))
-               for prefixes, _ in products] + np.abs(dets - 1.0).tolist())
-    return res, (inverses, dets, products)
+               for prefixes, _ in products] + np.abs(rep.dets - 1.0).tolist())
+    return res, (products,)
 
 
-def _ambient_system(p: GroupPresentation, rep: Representation, inverses,
-                    dets, products):
+def _ambient_system(p: GroupPresentation, rep: Representation, products):
     """Residual vector and Jacobian of the relator + determinant equations
     in ambient coordinates.  Everything is polynomial in the entries, so
     the complex (holomorphic) Newton step is valid.
@@ -210,9 +209,9 @@ def _ambient_system(p: GroupPresentation, rep: Representation, inverses,
     J = [_ambient_blocks(rel, prefixes, suffixes, m1)
          for rel, (prefixes, suffixes) in zip(p.relators, products)]
     det_rows = np.zeros((m1, nn * m1), dtype=np.complex128)
-    for g, inv in enumerate(inverses):
-        det_rows[g, g * nn:(g + 1) * nn] = dets[g] * inv.T.reshape(-1)
-    return np.concatenate(F + [dets - 1.0]), np.vstack(J + [det_rows])
+    for g, (det, inv) in enumerate(zip(rep.dets, rep.inverses)):
+        det_rows[g, g * nn:(g + 1) * nn] = det * inv.T.reshape(-1)
+    return np.concatenate(F + [rep.dets - 1.0]), np.vstack(J + [det_rows])
 
 
 def newton_refine(p: GroupPresentation, rep: Representation,
@@ -240,8 +239,7 @@ def newton_refine(p: GroupPresentation, rep: Representation,
             return cur
         F, J = _ambient_system(p, cur, *state)
         step = cxla.least_squares_step(J, F).reshape(-1, n, n)
-        cur = Representation(cur.spec, tuple(project_det(
-            np.array(cur.images) + step)))
+        cur = Representation(cur.spec, project_det(cur.images + step))
         res, state = _newton_state(p, cur)
     if res < tol_residual:
         return cur
@@ -282,7 +280,7 @@ def random_selftest_pair(seed: int):
         q, r = np.linalg.qr(g)
         q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
         images.append(project_det(q))
-    rep = Representation(GroupSpec(n=n), tuple(images))
+    rep = Representation(GroupSpec(n=n), images)
     return p, rep
 
 
@@ -322,7 +320,7 @@ def tangent_report(p: GroupPresentation, rep: Representation,
     rank, margin = cxla.rank_and_margin(relator_jacobian(p, rep), tol)
     dim_Z1 = d * m1 - rank
     if centralizer_dim_full_image is None:
-        centralizer_dim_full_image = centralizer_dim(list(rep.images), spec, tol)
+        centralizer_dim_full_image = centralizer_dim(rep.images, spec, tol)
     dim_B1 = d - centralizer_dim_full_image
     return TangentReport(
         jacobian_rank=rank,

@@ -206,9 +206,6 @@ class GroupPresentation:
     def torus_count(self) -> int:
         return sum(1 for p in self.peripheral if p.kind == TORUS)
 
-    def parse(self, text: str) -> Word:
-        return parse_word(text, self.generator_names)
-
     def render(self, w: Word) -> str:
         return render_word(w, self.generator_names)
 

@@ -84,6 +84,23 @@ def test_matrix_shape_rejections():
         document_from_dict(doc)
 
 
+def test_boolean_matrix_entries_rejected():
+    doc = fig8_dict()
+    doc["representation"]["a"] = [[[True, 0], [0, 0]], [[0, 0], [True, False]]]
+    with pytest.raises(InputDocumentError, match=r"'a', entry \(0,0\)"):
+        document_from_dict(doc)
+
+
+def test_certify_guards_ill_conditioned_image_before_refining():
+    # sigma_min / sigma_max = 1e-10 is below the inverse guard; with no
+    # relators the guard still fails in Newton's first state
+    with open(fixture_path("handlebody_f2_sl2.json")) as fh:
+        doc = json.load(fh)
+    doc["representation"]["a"] = [[[1e5, 0], [0, 0]], [[0, 0], [1e-5, 0]]]
+    with pytest.raises(np.linalg.LinAlgError):
+        certify(document_from_dict(doc))
+
+
 def test_representation_keys_must_match_generators():
     doc = fig8_dict()
     doc["representation"]["c"] = doc["representation"]["a"]

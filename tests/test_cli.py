@@ -136,6 +136,30 @@ def test_goldman_check_json(capsys):
     assert payload["ok"] is True
 
 
+def test_json_key_order(capsys):
+    assert main(["certify", "--json", FIG8_SL3]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["residual", "structure", "tangent", "manifold",
+                             "bound", "dim_X0_estimate", "verdict"]
+    assert list(payload["structure"]) == [
+        "centralizer_dim_full_image", "peripheral_centralizer_dims",
+        "irreducible", "boundary_regular"]
+    assert list(payload["tangent"]) == [
+        "jacobian_rank", "dim_Z1", "dim_B1", "dim_H1", "deficiency_floor",
+        "singular_values_margin", "reliable"]
+    assert list(payload["manifold"]) == ["torus_count", "euler_characteristic"]
+    assert list(payload["bound"]) == ["general_bound", "formula_used", "t",
+                                      "chi", "d", "r", "z"]
+    assert main(["bound", "--json", "--n", "3", "--t", "1", "--chi", "-1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["general_bound", "formula_used", "t", "chi", "d",
+                             "r", "z", "sl_n_bound"]
+    assert main(["goldman-check", "--json", "--genus", "2", "--n", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["genus", "n", "expected_dim_Z1", "dim_Z1",
+                             "residual", "margin", "attempts", "ok"]
+
+
 def test_fox_selftest(capsys):
     assert main(["fox-selftest", "--pairs", "3", "--seed", "0"]) == 0
     out = capsys.readouterr().out

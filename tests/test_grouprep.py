@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import sympy
 
+from charbound import cxla
 from charbound.grouprep import (GroupSpec, Representation, adjoint_operator,
                                 evaluate_word, project_det,
                                 random_representation, relator_residual,
                                 sl_basis, sl_coords, sym_power_embedding)
+from charbound.tangent import relator_jacobian
 from charbound.words import GroupPresentation, Word, invert_word, parse_word
 from conftest import random_sl
 
@@ -38,6 +40,52 @@ def test_representation_validation():
         Representation(spec, (np.eye(3),))
     with pytest.raises(ValueError):
         Representation(spec, (2.0 * np.eye(2),))  # det 4, far from SL
+
+
+def test_representation_owns_a_read_only_copy():
+    rng = np.random.default_rng(3)
+    mats = [random_sl(rng, 3) for _ in range(2)]
+    stack = np.array(mats)
+    for data in (mats, stack):
+        rep = Representation(GroupSpec(3), data)
+        before = rep.images.copy()
+        data[0][0, 1] = 7
+        data[1][0, 0] = 3
+        assert rep.images.shape == (2, 3, 3)
+        assert rep.images.dtype == np.complex128
+        assert np.array_equal(rep.images, before)
+        assert np.allclose(rep.dets, [np.linalg.det(m) for m in before])
+        with pytest.raises(ValueError):
+            rep.images[1][0, 0] = 3
+        with pytest.raises(ValueError):
+            rep.dets[0] = 3
+        with pytest.raises(ValueError):
+            rep.inverses[0][0, 0] = 3
+
+
+def test_inverses_are_computed_once_per_point(monkeypatch):
+    rng = np.random.default_rng(4)
+    rep = Representation(GroupSpec(3), [random_sl(rng, 3) for _ in range(2)])
+    shapes = []
+    original = cxla.inverse
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(cxla, "inverse", counting)
+    evaluate_word(parse_word("abab", GENS), rep)
+    assert shapes == []  # no inverse letter, no inverse
+    p = GroupPresentation(GENS, (parse_word("abAB", GENS),))
+    for _ in range(3):
+        evaluate_word(parse_word("aBAb", GENS), rep)
+        relator_residual(p, rep)
+    assert shapes == [(2, 3, 3)]
+    for _ in range(2):
+        relator_jacobian(p, rep)
+    assert shapes.count((2, 3, 3)) == 1
+    for a, inv in zip(rep.images, rep.inverses):
+        assert np.allclose(inv, np.linalg.inv(a), rtol=0, atol=1e-12)
 
 
 def test_evaluate_word_empty_is_identity():
@@ -208,7 +256,7 @@ def test_random_representation_deterministic():
 def test_random_representation_det_one():
     for seed in range(10):
         rep = random_representation(F2, GroupSpec(3), seed=seed)
-        assert rep.max_det_deviation() < 1e-12
+        assert np.max(np.abs(rep.dets - 1.0)) < 1e-12
 
 
 def test_random_representation_seeds_differ():
