@@ -9,7 +9,7 @@ estimate with the closed-form bound r*t - d*chi + z.
 """
 
 from .bounds import (BoundReport, ManifoldData, goldman_dim, hom_to_char_drop,
-                     sl_n_bound, surface_restriction_codim, thurston_bound)
+                     sl_n_bound, thurston_bound)
 from .certify import (BOUND_MET, BOUND_VIOLATION_SUSPECT_INPUT,
                       HYPOTHESES_NOT_MET, UNRELIABLE, CertReport,
                       GoldmanReport, InputDocument, InputDocumentError,
@@ -22,7 +22,7 @@ from .grouprep import (GroupSpec, Representation, evaluate_word,
                        sym_power_embedding)
 from .structure import (NonCommutingPeripheralError, StructureReport,
                         analyze_structure, centralizer_dim,
-                        is_irreducible_burnside, is_regular)
+                        is_irreducible_burnside)
 from .tangent import (MARGIN_CERTIFIED, RESIDUAL_CERT_BOUND,
                       NewtonConvergenceError, TangentReport,
                       finite_difference_jacobian, fox_matrix, newton_refine,

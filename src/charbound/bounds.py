@@ -17,7 +17,6 @@ __all__ = [
     "sl_n_bound",
     "goldman_dim",
     "hom_to_char_drop",
-    "surface_restriction_codim",
 ]
 
 
@@ -79,8 +78,3 @@ def hom_to_char_drop(dim_R0: int, spec: GroupSpec) -> int:
     if dim_R0 < 0:
         raise ValueError(f"dimension must be >= 0, got {dim_R0}")
     return dim_R0 - spec.d + spec.z
-
-
-def surface_restriction_codim(spec: GroupSpec) -> int:
-    """d - r: codimension budget consumed per genus-2 restriction step."""
-    return spec.d - spec.r

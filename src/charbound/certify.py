@@ -196,7 +196,13 @@ def _parse_matrix(value, n: int, gen: str) -> np.ndarray:
                     f"representation of {gen!r}, entry ({i},{j}): expected a "
                     f"[re, im] pair, got {entry!r}"
                 )
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise InputDocumentError(
+                    f"representation of {gen!r}, entry ({i},{j}): too large "
+                    f"for a float"
+                ) from None
     return out
 
 

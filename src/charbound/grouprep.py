@@ -64,14 +64,14 @@ class GroupSpec:
         object.__setattr__(self, "z", 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
     """Generator images of one point, immutable after construction.
 
     images is a read-only (m1, n, n) complex128 copy of the input, dets
     its determinants, and inverses the images' inverses, computed on first
     use by one guarded cxla.inverse call (LinAlgError if any image is
-    numerically singular) and kept.
+    numerically singular) and kept.  Points compare by identity.
     """
 
     spec: GroupSpec

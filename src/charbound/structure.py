@@ -20,7 +20,6 @@ __all__ = [
     "StructureReport",
     "NonCommutingPeripheralError",
     "centralizer_dim",
-    "is_regular",
     "is_irreducible_burnside",
     "analyze_structure",
 ]
@@ -74,14 +73,6 @@ def _check_commuting(mats) -> None:
                     f"peripheral images {i} and {j} do not commute "
                     f"(relative deviation {dev / scale:.3e})"
                 )
-
-
-def is_regular(peripheral_images, spec: GroupSpec,
-               tol: float = cxla.DEFAULT_RANK_TOL) -> bool:
-    """True iff the commuting set's centralizer has the minimal dim r + z."""
-    mats = [cxla.as_matrix(m) for m in peripheral_images]
-    _check_commuting(mats)
-    return centralizer_dim(mats, spec, tol) == spec.r + spec.z
 
 
 def _orthonormal_rows(rows: np.ndarray, tol: float) -> np.ndarray:

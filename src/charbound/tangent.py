@@ -21,7 +21,8 @@ from .grouprep import (GroupSpec, Representation, project_det,
                        relator_residual, relator_values, sl_basis, sl_coords,
                        sl_projections, word_products)
 from .structure import centralizer_dim
-from .words import GroupPresentation, Word, free_reduce, is_reduced
+from .words import (GroupPresentation, Word, free_reduce, invert_word,
+                    is_reduced)
 
 __all__ = [
     "TangentReport",
@@ -79,27 +80,27 @@ class TangentReport:
     reliable: bool
 
 
-def _ambient_blocks(w: Word, prefixes, suffixes, m1: int) -> np.ndarray:
-    """n^2 x n^2 m1 derivative of the word map along w in ambient
-    coordinates (all matrix entries, row-major per generator).
+def _letters(w: Word):
+    """Generators, signs and Fox prefix positions of w's letters; the Fox
+    prefix Q_t is the product before a positive letter, through an inverse
+    one."""
+    gens, signs = np.array(w.letters, dtype=int).reshape(-1, 2).T
+    return gens, signs, np.arange(len(gens)) + (signs == -1)
 
-    Per letter occurrence, with P = prefix product and S = suffix product:
-    positive letters contribute kron(P, S^T), inverse letters
-    -kron(P', S'^T) with P', S' the products including the letter.  The
-    occurrences of one generator are summed by a single product of the
-    stacked vec(P) and vec(S^T), then permuted into kron layout.
-    """
-    n = prefixes[0].shape[0]
+
+def _kron_sums(gens, signs, lefts, rights, m1: int) -> np.ndarray:
+    """n^2 x n^2 m1 block row; block k sums signs[t] kron(lefts[t],
+    rights[t]^T) over the letters t of generator k, from one product of
+    the stacked vec(L) and vec(R^T) permuted into kron layout.  lefts and
+    rights hold one n x n member per letter."""
+    n = lefts.shape[-1]
     nn = n * n
     K = np.zeros((nn, nn * m1), dtype=np.complex128)
-    gens, signs = np.array(w.letters, dtype=int).reshape(-1, 2).T
-    inv = (signs == -1).astype(int)
-    t = np.arange(len(gens))
-    P = (np.array(prefixes)[t + inv] * signs[:, None, None]).reshape(-1, nn)
-    S = np.array(suffixes)[t + 1 - inv].transpose(0, 2, 1).reshape(-1, nn)
+    L = (lefts * signs[:, None, None]).reshape(-1, nn)
+    R = rights.transpose(0, 2, 1).reshape(-1, nn)
     for k in np.unique(gens):
         sel = gens == k
-        K[:, k * nn:(k + 1) * nn] = (P[sel].T @ S[sel]).reshape(
+        K[:, k * nn:(k + 1) * nn] = (L[sel].T @ R[sel]).reshape(
             n, n, n, n).transpose(0, 2, 1, 3).reshape(nn, nn)
     return K
 
@@ -107,24 +108,20 @@ def _ambient_blocks(w: Word, prefixes, suffixes, m1: int) -> np.ndarray:
 def _fox_rows(w: Word, rep: Representation) -> np.ndarray:
     """d x d m1 Fox derivatives of w by every generator, through Ad(rho).
 
-    The ambient columns vec(Y) are right-translated, Y -> Y rho(w)^{-1},
-    and projected to sl(n) coordinates; the block of generator j is then
-    composed with X -> X A_j (the left-translated tangent direction),
-    whose matrix on sl_basis coordinates is vec(basis @ A_j).  In exact
-    arithmetic this is sum Ad(prefix before each positive occurrence) -
-    sum Ad(prefix through each inverse occurrence), at any representation,
-    not only at solutions.
+    Block j sums s_t Ad(Q_t) over the letters of generator j, as
+    C (sum s_t kron(Q_t, Q_t^{-T})) B, at any representation.  The inverse
+    Fox prefixes are suffix products of w^{-1}: no word product is inverted.
     """
     n = rep.spec.n
-    nn = n * n
+    d = rep.spec.d
     m1 = rep.num_generators
     B, C = sl_projections(n)
-    basis = B.T.reshape(-1, n, n)
-    prefixes, suffixes = word_products(w, rep)
-    K = _ambient_blocks(w, prefixes, suffixes, m1).reshape(n, n, -1)
-    K = C @ (cxla.inverse(prefixes[-1]).T @ K).reshape(nn, -1)
-    return np.hstack([K[:, j * nn:(j + 1) * nn] @ (basis @ a).reshape(-1, nn).T
-                      for j, a in enumerate(rep.images)])
+    gens, signs, q = _letters(w)
+    prefixes, _ = word_products(w, rep)
+    _, inverse_prefixes = word_products(invert_word(w), rep)
+    K = _kron_sums(gens, signs, np.array(prefixes)[q],
+                   np.array(inverse_prefixes[::-1])[q], m1)
+    return ((C @ K).reshape(d, m1, n * n) @ B).reshape(d, d * m1)
 
 
 def fox_matrix(w: Word, gen_index: int, rep: Representation) -> np.ndarray:
@@ -199,15 +196,17 @@ def _newton_state(p: GroupPresentation, rep: Representation):
 def _ambient_system(p: GroupPresentation, rep: Representation, products):
     """Residual vector and Jacobian of the relator + determinant equations
     in ambient coordinates.  Everything is polynomial in the entries, so
-    the complex (holomorphic) Newton step is valid.
+    the complex (holomorphic) Newton step is valid.  Letter t of a relator
+    contributes s_t kron(Q_t, S_t^T), Q_t its Fox prefix and S_t the
+    suffix product after a positive letter, from an inverse one on.
     """
     n = rep.spec.n
     nn = n * n
     m1 = rep.num_generators
     eye = np.eye(n, dtype=np.complex128)
     F = [(prefixes[-1] - eye).reshape(-1) for prefixes, _ in products]
-    J = [_ambient_blocks(rel, prefixes, suffixes, m1)
-         for rel, (prefixes, suffixes) in zip(p.relators, products)]
+    J = [_kron_sums(g, s, np.array(pre)[q], np.array(suf)[q + s], m1)
+         for (g, s, q), (pre, suf) in zip(map(_letters, p.relators), products)]
     det_rows = np.zeros((m1, nn * m1), dtype=np.complex128)
     for g, (det, inv) in enumerate(zip(rep.dets, rep.inverses)):
         det_rows[g, g * nn:(g + 1) * nn] = det * inv.T.reshape(-1)

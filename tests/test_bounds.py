@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from charbound.bounds import (ManifoldData, goldman_dim, hom_to_char_drop,
-                              sl_n_bound, surface_restriction_codim,
-                              thurston_bound)
+                              sl_n_bound, thurston_bound)
 from charbound.grouprep import GroupSpec
 
 
@@ -82,14 +81,6 @@ def test_hom_to_char_drop():
         assert hom_to_char_drop(a, spec) + spec.d - spec.z == a
     with pytest.raises(ValueError):
         hom_to_char_drop(-1, GroupSpec(2))
-
-
-def test_surface_restriction_codim():
-    # d - r = (n^2 - 1) - (n - 1) = n^2 - n
-    assert surface_restriction_codim(GroupSpec(2)) == 2
-    assert surface_restriction_codim(GroupSpec(3)) == 6
-    for n in (2, 3, 4, 5):
-        assert surface_restriction_codim(GroupSpec(n)) == n * n - n
 
 
 def test_free_group_tightness():

@@ -46,7 +46,7 @@ def test_newton_and_jacobian_kernels_call_counts(monkeypatch):
         return original_kron(a, b)
 
     # S: inverse of an (m1, n, n) image stack, R: inverse of one (n, n)
-    # relator value, T: one Newton (least-squares) step
+    # matrix, T: one Newton (least-squares) step
     events = []
     inverse_shapes = []
     original_inverse = cxla.inverse
@@ -70,17 +70,16 @@ def test_newton_and_jacobian_kernels_call_counts(monkeypatch):
     sl3_doc = load_document(fixture_path("figure_eight_sl3.json"))
 
     certify(sl3_doc)
-    # the image stack once (Newton's check, then every later reader), and
-    # the one relator value in the Fox Jacobian
-    assert inverse_shapes == [(2, 3, 3), (3, 3)]
+    # the image stack once (Newton's check, then every later reader); the
+    # Fox Jacobian inverts no relator value
+    assert inverse_shapes == [(2, 3, 3)]
 
     del events[:], inverse_shapes[:]
     result = survey(sl2_doc, num_samples=3, seed=1)
     assert not result.errors
-    # per sample: one stack for the start and one per Newton iterate, then
-    # one relator-value inverse
-    assert re.fullmatch("(S(TS)*R){3}", "".join(events))
+    # per sample: one stack for the start and one per Newton iterate
+    assert re.fullmatch("(S(TS)*){3}", "".join(events))
     assert "T" in events
-    assert set(inverse_shapes) == {(2, 2, 2), (2, 2)}
+    assert set(inverse_shapes) == {(2, 2, 2)}
 
     assert not {"charbound.tangent", "charbound.structure"} & set(kron_callers)

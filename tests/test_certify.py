@@ -91,6 +91,22 @@ def test_boolean_matrix_entries_rejected():
         document_from_dict(doc)
 
 
+def test_overflowing_matrix_entry_rejected():
+    with open(fixture_path("handlebody_f2_sl2.json")) as fh:
+        doc = json.load(fh)
+    doc["representation"]["a"][0][0] = [10**400, 0]
+    with pytest.raises(InputDocumentError, match=r"'a', entry \(0,0\)"):
+        document_from_dict(doc)
+
+
+def test_documents_compare_without_raising():
+    first = load_document(fixture_path("figure_eight_sl2.json"))
+    second = load_document(fixture_path("figure_eight_sl2.json"))
+    assert (first == first) is True
+    assert isinstance(first == second, bool)
+    assert isinstance(first.representation == second.representation, bool)
+
+
 def test_certify_guards_ill_conditioned_image_before_refining():
     # sigma_min / sigma_max = 1e-10 is below the inverse guard; with no
     # relators the guard still fails in Newton's first state

@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from charbound.grouprep import (GroupSpec, random_representation,
-                                sym_power_embedding)
+from charbound.grouprep import (GroupSpec, Representation,
+                                random_representation)
 from charbound.structure import (NonCommutingPeripheralError,
                                  analyze_structure, centralizer_dim,
-                                 is_irreducible_burnside, is_regular)
-from charbound.words import GroupPresentation
+                                 is_irreducible_burnside)
+from charbound.words import TORUS, GroupPresentation, PeripheralSpec, Word
 from conftest import fixture_path, random_sl
 from charbound import load_document
 
@@ -45,19 +45,13 @@ def test_centralizer_dim_irreducible_set_is_zero():
         assert centralizer_dim(mats, spec) == 0
 
 
-def test_is_regular_examples():
-    lam = 1.3 + 0.2j
-    m = np.diag([lam, 1.0, 1.0 / lam])
-    assert is_regular([m], SL3) is True
-    assert is_regular([np.eye(3), np.eye(3)], SL3) is False
-    unip3 = sym_power_embedding(np.array([[1.0, 1.0], [0.0, 1.0]]), 3)
-    assert is_regular([unip3], SL3) is True
-
-
-def test_is_regular_rejects_noncommuting():
+def test_analyze_structure_rejects_noncommuting_torus_images():
     rng = np.random.default_rng(2)
+    torus = PeripheralSpec(TORUS, (Word(((0, 1),)), Word(((1, 1),))))
+    p = GroupPresentation(("a", "b"), peripheral=(torus,))
+    rep = Representation(SL2, (random_sl(rng, 2), random_sl(rng, 2)))
     with pytest.raises(NonCommutingPeripheralError):
-        is_regular([random_sl(rng, 2), random_sl(rng, 2)], SL2)
+        analyze_structure(p, rep)
 
 
 def test_burnside_examples():

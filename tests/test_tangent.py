@@ -6,7 +6,8 @@ import pytest
 from charbound import cxla
 from charbound.grouprep import (GroupSpec, Representation, adjoint_operator,
                                 evaluate_word, random_representation,
-                                relator_residual, sym_power_embedding)
+                                relator_residual, sl_projections,
+                                sym_power_embedding)
 from charbound.tangent import (NewtonConvergenceError, _ambient_system,
                                _newton_state, finite_difference_jacobian,
                                fox_matrix,
@@ -299,3 +300,45 @@ def test_ambient_jacobian_matches_central_differences():
                     cols.append((raw_equations(p, plus)
                                  - raw_equations(p, minus)) / (2 * step))
             assert np.max(np.abs(J - np.column_stack(cols))) < 1e-6
+
+
+def extended_fox_form(p, rep):
+    """Sum of s_t C kron(Q_t, Q_t^{-T}) B per generator in np.clongdouble,
+    Q_t the prefix before a positive letter and through an inverse one,
+    from matmul and kron only; the image inverses are refined by three
+    Newton-Schulz steps."""
+    n = rep.spec.n
+    eye = np.eye(n, dtype=np.clongdouble)
+    images = rep.images.astype(np.clongdouble)
+    inverses = np.linalg.inv(rep.images).astype(np.clongdouble)
+    for _ in range(3):
+        inverses = inverses @ (2 * eye - images @ inverses)
+    B, C = (m.astype(np.clongdouble) for m in sl_projections(n))
+    rows = []
+    for rel in p.relators:
+        K = np.zeros((rep.num_generators, n * n, n * n), dtype=np.clongdouble)
+        Q, Q_inv = eye, eye
+        for k, s in rel.letters:
+            if s == -1:
+                Q, Q_inv = Q @ inverses[k], images[k] @ Q_inv
+            K[k] += s * np.kron(Q, Q_inv.T)
+            if s == 1:
+                Q, Q_inv = Q @ images[k], inverses[k] @ Q_inv
+        rows.append(np.hstack([C @ block @ B for block in K]))
+    return np.vstack(rows)
+
+
+def test_relator_jacobian_matches_extended_precision_fox_form():
+    # the true sigma_k / sigma_max at these points falls to 6.5e-10 at n = 8
+    # and 1.3e-12 at n = 10; an assembly error near it makes the rank gap
+    # no evidence of rank
+    fig8 = GroupPresentation(GENS, (parse_word("abAbaBAbAB", GENS),))
+    a = np.array([[1, 1], [0, 1]])
+    b = np.array([[1, 0], [np.exp(-1j * np.pi / 3), 1]])
+    for n in range(2, 11):
+        rep = Representation(GroupSpec(n), (sym_power_embedding(a, n),
+                                            sym_power_embedding(b, n)))
+        ref = extended_fox_form(fig8, rep)
+        err = (relator_jacobian(fig8, rep) - ref).astype(np.complex128)
+        sigma_max = np.linalg.norm(ref.astype(np.complex128), 2)
+        assert np.linalg.norm(err, 2) <= 5e-12 * sigma_max, n
