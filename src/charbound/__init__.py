@@ -26,7 +26,7 @@ from .structure import (NonCommutingPeripheralError, StructureReport,
 from .tangent import (MARGIN_CERTIFIED, RESIDUAL_CERT_BOUND,
                       NewtonConvergenceError, TangentReport,
                       finite_difference_jacobian, fox_matrix, newton_refine,
-                      relator_jacobian, tangent_report)
+                      refine_points, relator_jacobian, tangent_report)
 from .words import (GroupPresentation, PeripheralSpec, Word,
                     euler_characteristic, free_reduce, invert_word,
                     parse_word, render_word, surface_presentation)

@@ -28,7 +28,7 @@ from .structure import (StructureReport, analyze_structure,
                         is_irreducible_burnside)
 from .tangent import (DEFAULT_NEWTON_TOL, RESIDUAL_CERT_BOUND,
                       NewtonConvergenceError, TangentReport, newton_refine,
-                      tangent_report)
+                      refine_points, tangent_report)
 from .words import (GroupPresentation, PeripheralSpec, euler_characteristic,
                     parse_word, surface_presentation)
 
@@ -131,18 +131,6 @@ class InputDocument:
     tol_rank: float
     tol_residual: float
     seed: "int | None" = None
-
-    def with_tolerances(self, tol_rank=None, tol_residual=None) -> "InputDocument":
-        return InputDocument(
-            spec=self.spec,
-            presentation=self.presentation,
-            representation=self.representation,
-            euler_characteristic=self.euler_characteristic,
-            chi_overridden=self.chi_overridden,
-            tol_rank=self.tol_rank if tol_rank is None else tol_rank,
-            tol_residual=self.tol_residual if tol_residual is None else tol_residual,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,12 +276,9 @@ def _decide_verdict(structure: StructureReport, tangent: TangentReport,
     return BOUND_VIOLATION_SUSPECT_INPUT
 
 
-def _certify_at(doc: InputDocument, rep: Representation,
-                basin_guard) -> CertReport:
+def _certify_at(doc: InputDocument, refined: Representation) -> CertReport:
+    """Everything after Newton: hypotheses, dimensions and the verdict."""
     p = doc.presentation
-    refined = newton_refine(
-        p, rep, tol_residual=min(doc.tol_residual, RESIDUAL_CERT_BOUND),
-        basin_guard=basin_guard)
     residual = relator_residual(p, refined)
     structure = analyze_structure(p, refined, tol=doc.tol_rank)
     tangent = tangent_report(
@@ -319,7 +304,9 @@ def _certify_at(doc: InputDocument, rep: Representation,
 
 def certify(doc: InputDocument) -> CertReport:
     """Refine, check hypotheses, measure dimensions, compare to the bound."""
-    return _certify_at(doc, doc.representation, basin_guard=None)
+    return _certify_at(doc, newton_refine(
+        doc.presentation, doc.representation,
+        tol_residual=min(doc.tol_residual, RESIDUAL_CERT_BOUND)))
 
 
 def survey(doc: InputDocument, num_samples: int, seed: "int | None" = None
@@ -327,8 +314,8 @@ def survey(doc: InputDocument, num_samples: int, seed: "int | None" = None
     """Certify noisy copies of the base representation.
 
     Each sample perturbs the original images with Gaussian noise of scale
-    SURVEY_NOISE_SCALE and re-refines (no basin guard; the noise is known
-    rough but structured).  A sample that fails numerically (Newton, a
+    SURVEY_NOISE_SCALE, and all samples refine together in one
+    refine_points lockstep.  A sample that fails numerically (Newton, a
     singular matrix or a rejected value) is recorded, not fatal; any other
     error propagates.  The estimate multiset detects rank instability
     across the component.
@@ -337,21 +324,20 @@ def survey(doc: InputDocument, num_samples: int, seed: "int | None" = None
         raise ValueError(f"need at least one sample, got {num_samples}")
     if seed is None:
         seed = doc.seed if doc.seed is not None else 0
-    rng = np.random.default_rng(seed)
-    base = doc.representation
-    n = doc.spec.n
-    reports = []
-    errors = []
-    counts: dict = {}
-    for idx in range(num_samples):
-        noisy = tuple(
-            m + SURVEY_NOISE_SCALE * (rng.standard_normal((n, n))
-                                      + 1j * rng.standard_normal((n, n)))
-            for m in base.images
-        )
+    base, n = doc.representation, doc.spec.n
+    noise = np.random.default_rng(seed).standard_normal(
+        (num_samples, base.num_generators, 2, n, n))
+    starts = base.images + SURVEY_NOISE_SCALE * (noise[:, :, 0]
+                                                 + 1j * noise[:, :, 1])
+    refined = refine_points(
+        doc.presentation, doc.spec, starts,
+        tol_residual=min(doc.tol_residual, RESIDUAL_CERT_BOUND))
+    reports, errors, counts = [], [], {}
+    for idx, rep in enumerate(refined):
         try:
-            rep = Representation(doc.spec, noisy)
-            report = _certify_at(doc, rep, basin_guard=None)
+            if isinstance(rep, Exception):
+                raise rep
+            report = _certify_at(doc, rep)
         except (NewtonConvergenceError, np.linalg.LinAlgError, ValueError) as e:
             reports.append(None)
             errors.append((idx, f"{type(e).__name__}: {e}"))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import cxla
 from .bounds import ManifoldData, sl_n_bound, thurston_bound
@@ -147,9 +148,14 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _load(args):
+    """args.file's document, with the tolerances given on the command line."""
+    return replace(load_document(args.file), **{k: getattr(args, k) for k in (
+        "tol_rank", "tol_residual") if getattr(args, k) is not None})
+
+
 def _cmd_certify(args) -> int:
-    doc = load_document(args.file).with_tolerances(args.tol_rank,
-                                                   args.tol_residual)
+    doc = _load(args)
     report = certify(doc)
     if args.json:
         print(json.dumps(report_to_dict(report), indent=2))
@@ -159,8 +165,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    doc = load_document(args.file).with_tolerances(args.tol_rank,
-                                                   args.tol_residual)
+    doc = _load(args)
     result = survey(doc, args.samples, args.seed)
     if args.json:
         payload = {

@@ -114,28 +114,32 @@ class Representation:
         return Representation(self.spec, g @ self.images @ cxla.inverse(g))
 
 
-def word_products(w: Word, rep: Representation):
+def word_products(w: Word, rep):
     """Prefix and suffix products of the letter images along w.
 
     prefixes[t] is the product of the first t letters and suffixes[t] that
     of the letters from t on, so prefixes[-1] and suffixes[0] are both the
-    image of w.  Inverse letters read rep.inverses.  This is the only place
-    that multiplies along a word.
+    image of w.  Inverse letters read rep.inverses.  rep may also be a stack
+    of S points (images and inverses (S, m1, n, n)); each letter is then
+    one batched matmul.  This is the only place that multiplies along a word.
     """
     images = rep.images
-    if w.max_index() >= len(images):
+    *stack, m1, n, _ = images.shape
+    if w.max_index() >= m1:
         raise ValueError(f"word uses generator index {w.max_index()}; "
-                         f"representation has {len(images)} images")
-    inverses = rep.inverses if any(s == -1 for _, s in w.letters) else None
+                         f"representation has {m1} images")
+    inverses = rep.inverses if any(s == -1 for _, s in w.letters) else images
+    images, inverses = images.swapaxes(0, -3), inverses.swapaxes(0, -3)
     mats = [images[k] if s == 1 else inverses[k] for k, s in w.letters]
-    eye = np.eye(rep.spec.n, dtype=np.complex128)
-    prefixes = [eye]
-    for m in mats:
-        prefixes.append(prefixes[-1] @ m)
-    suffixes = [eye]
-    for m in reversed(mats):
-        suffixes.append(m @ suffixes[-1])
-    return prefixes, suffixes[::-1]
+    prefixes = np.empty((len(mats) + 1, *stack, n, n), dtype=np.complex128)
+    suffixes = np.empty_like(prefixes)
+    prefixes[0] = suffixes[-1] = np.eye(n)
+    pre, suf = list(prefixes), list(suffixes)
+    for t in range(len(mats)):
+        np.matmul(pre[t], mats[t], out=pre[t + 1])
+    for t in reversed(range(len(mats))):
+        np.matmul(mats[t], suf[t + 1], out=suf[t])
+    return prefixes, suffixes
 
 
 def evaluate_word(w: Word, rep: Representation) -> np.ndarray:

@@ -12,6 +12,7 @@ which the finite-difference cross-check exploits.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "relator_jacobian",
     "finite_difference_jacobian",
     "newton_refine",
+    "refine_points",
     "tangent_report",
     "random_selftest_pair",
     "fox_selftest_deviation",
@@ -48,7 +50,6 @@ RESIDUAL_CERT_BOUND = 1e-9
 
 DEFAULT_NEWTON_TOL = 1e-12
 DEFAULT_NEWTON_MAX_ITER = 50
-DEFAULT_BASIN_GUARD = 1e-2
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -119,8 +120,7 @@ def _fox_rows(w: Word, rep: Representation) -> np.ndarray:
     gens, signs, q = _letters(w)
     prefixes, _ = word_products(w, rep)
     _, inverse_prefixes = word_products(invert_word(w), rep)
-    K = _kron_sums(gens, signs, np.array(prefixes)[q],
-                   np.array(inverse_prefixes[::-1])[q], m1)
+    K = _kron_sums(gens, signs, prefixes[q], inverse_prefixes[::-1][q], m1)
     return ((C @ K).reshape(d, m1, n * n) @ B).reshape(d, d * m1)
 
 
@@ -148,64 +148,62 @@ def relator_jacobian(p: GroupPresentation, rep: Representation) -> np.ndarray:
     return np.vstack([_fox_rows(rel, rep) for rel in p.relators])
 
 
+#: S points: images and inverses (S, m1, n, n), dets (S, m1).  word_products
+#: reads it like a Representation.
+_Points = namedtuple("_Points", "images dets inverses")
+
+
 def finite_difference_jacobian(p: GroupPresentation, rep: Representation,
                                step: float = 1e-7) -> np.ndarray:
     """Central-difference Jacobian of the relator map, same layout as
     relator_jacobian.  Perturbs each generator image A to (I + eps X) A
     along trace-zero directions X and right-translates the difference
     quotient by rho(r)^{-1}; even-order errors cancel, so agreement with
-    the analytic Jacobian holds at any representation.
+    the analytic Jacobian holds at any representation.  All 2 d m1
+    perturbed points go through word_products as one stack.
     """
-    n = rep.spec.n
-    d = rep.spec.d
-    m1 = rep.num_generators
+    n, d, m1 = rep.spec.n, rep.spec.d, rep.num_generators
     if not p.relators:
         return np.zeros((0, d * m1), dtype=np.complex128)
-    base_invs = cxla.inverse(relator_values(p, rep))
-    eye = np.eye(n, dtype=np.complex128)
-    cols = []
+    shifts = np.eye(n) + np.multiply.outer([step, -step], sl_basis(n))
+    images = np.broadcast_to(rep.images, (2, m1, d, m1, n, n)).copy()
     for j in range(m1):
-        for X in sl_basis(n):
-            values = []
-            for sign in (+1, -1):
-                images = rep.images.copy()
-                images[j] = (eye + sign * step * X) @ images[j]
-                perturbed = Representation(rep.spec, images)
-                values.append(relator_values(p, perturbed))
-            plus, minus = values
-            cols.append(np.concatenate([
-                sl_coords((hi - lo) / (2.0 * step) @ inv)
-                for hi, lo, inv in zip(plus, minus, base_invs)]))
-    return np.column_stack(cols)
+        images[:, j, :, j] = shifts @ rep.images[j]
+    images = images.reshape(-1, m1, n, n)
+    points = _Points(images, None, cxla.inverse(
+        images.reshape(-1, n, n)).reshape(images.shape))
+    rows = []
+    for rel, inv in zip(p.relators, cxla.inverse(relator_values(p, rep))):
+        plus, minus = word_products(rel, points)[0][-1].reshape(2, -1, n, n)
+        rows.append(np.column_stack(
+            [sl_coords(q) for q in (plus - minus) / (2.0 * step) @ inv]))
+    return np.vstack(rows)
 
 
-def _newton_state(p: GroupPresentation, rep: Representation):
-    """Residual of the relator + determinant equations, and the state the
-    ambient system takes after p and rep: the relator products.  The
-    determinant rows use every image's inverse, so the inverse guard runs
-    here even without relators.
-    """
-    rep.inverses
-    products = [word_products(rel, rep) for rel in p.relators]
-    eye = np.eye(rep.spec.n)
-    res = max([float(np.linalg.norm(prefixes[-1] - eye))
-               for prefixes, _ in products] + np.abs(rep.dets - 1.0).tolist())
-    return res, (products,)
+def _newton_state(p: GroupPresentation, points):
+    """Residuals of the relator + determinant equations, one per point of a
+    _Points stack (one for a Representation), and the relator products."""
+    products = [word_products(rel, points) for rel in p.relators]
+    eye = np.eye(points.images.shape[-1])
+    values = [pre[-1].reshape(-1, *eye.shape) for pre, _ in products]
+    devs = np.abs(points.dets - 1.0).reshape(-1, p.num_generators)
+    return [max([float(np.linalg.norm(v[i] - eye)) for v in values]
+                + dev.tolist()) for i, dev in enumerate(devs)], (products,)
 
 
-def _ambient_system(p: GroupPresentation, rep: Representation, products):
+def _ambient_system(p: GroupPresentation, rep, products):
     """Residual vector and Jacobian of the relator + determinant equations
-    in ambient coordinates.  Everything is polynomial in the entries, so
-    the complex (holomorphic) Newton step is valid.  Letter t of a relator
-    contributes s_t kron(Q_t, S_t^T), Q_t its Fox prefix and S_t the
-    suffix product after a positive letter, from an inverse one on.
+    in ambient coordinates at one point.  Everything is polynomial in the
+    entries, so the complex (holomorphic) Newton step is valid.  Letter t
+    of a relator contributes s_t kron(Q_t, S_t^T), Q_t its Fox prefix and
+    S_t the suffix product after a positive letter, from an inverse one on.
     """
-    n = rep.spec.n
+    n = rep.images.shape[-1]
     nn = n * n
-    m1 = rep.num_generators
+    m1 = p.num_generators
     eye = np.eye(n, dtype=np.complex128)
     F = [(prefixes[-1] - eye).reshape(-1) for prefixes, _ in products]
-    J = [_kron_sums(g, s, np.array(pre)[q], np.array(suf)[q + s], m1)
+    J = [_kron_sums(g, s, pre[q], suf[q + s], m1)
          for (g, s, q), (pre, suf) in zip(map(_letters, p.relators), products)]
     det_rows = np.zeros((m1, nn * m1), dtype=np.complex128)
     for g, (det, inv) in enumerate(zip(rep.dets, rep.inverses)):
@@ -213,38 +211,88 @@ def _ambient_system(p: GroupPresentation, rep: Representation, products):
     return np.concatenate(F + [rep.dets - 1.0]), np.vstack(J + [det_rows])
 
 
+def _guarded(spec: GroupSpec, images, project: bool, live: list, outcomes):
+    """(starts still live, their _Points): the iterates (S, m1, n, n) of
+    the starts live, rescaled to det 1 after a step (project), checked and
+    inverted as one Representation.  If that fails, each is checked alone
+    and its error recorded in outcomes."""
+    try:
+        x = project_det(images) if project else images
+        flat = Representation(spec, x.reshape(-1, spec.n, spec.n))
+        return live, _Points(x, flat.dets.reshape(x.shape[:-2]),
+                             flat.inverses.reshape(x.shape))
+    except (ValueError, np.linalg.LinAlgError) as e:
+        if len(live) == 1:
+            outcomes[live[0]] = e
+            return [], None
+    ok = [i for i in range(len(live)) if _guarded(
+        spec, images[i:i + 1], project, live[i:i + 1], outcomes)[0]]
+    return _guarded(spec, images[ok], project, [live[i] for i in ok],
+                    outcomes) if ok else ([], None)
+
+
+def refine_points(p: GroupPresentation, spec: GroupSpec, starts,
+                  tol_residual: float = DEFAULT_NEWTON_TOL,
+                  max_iter: int = DEFAULT_NEWTON_MAX_ITER) -> list:
+    """Newton refinement in lockstep of starts (S, m1, n, n): for each, its
+    refined Representation or the error that stopped it.  starts may also
+    be one Representation, a stack of one: kept as it is if at tolerance,
+    and its own inverse guard raises.  Each point takes minimum-norm
+    least-squares steps on its ambient system, every image re-projected to
+    determinant 1 after each step; checks, inverse guard, word products
+    and stop test are stacked calls.
+    """
+    if isinstance(starts, Representation):
+        outcomes, live = [starts], [0]
+        points = _Points(starts.images[None], starts.dets[None],
+                         starts.inverses[None])
+    else:
+        outcomes = [None] * len(starts)
+        live, points = _guarded(spec, np.asarray(starts, np.complex128),
+                                False, list(range(len(starts))), outcomes)
+    for it in range(max_iter + 1):
+        if not live:
+            break
+        res, (products,) = _newton_state(p, points)
+        stepped, iterates = [], []
+        for i, (k, r) in enumerate(zip(live, res)):
+            if r < tol_residual:
+                if it or outcomes[k] is None:
+                    outcomes[k] = rep = Representation(spec, points.images[i])
+                    # fill the cached property: these inverses are guarded
+                    rep.__dict__["inverses"] = points.inverses[i]
+            elif it == max_iter:
+                outcomes[k] = NewtonConvergenceError(
+                    r, f"no convergence within {max_iter} iterations")
+            else:
+                point = _Points(*(a[i] for a in points))
+                F, J = _ambient_system(p, point, [(pre[:, i], suf[:, i])
+                                                  for pre, suf in products])
+                try:
+                    step = cxla.least_squares_step(J, F)
+                except np.linalg.LinAlgError as e:
+                    outcomes[k] = e
+                    continue
+                stepped.append(k)
+                iterates.append(point.images + step.reshape(point.images.shape))
+        if not stepped:
+            break
+        live, points = _guarded(spec, np.array(iterates), True, stepped,
+                                outcomes)
+    return outcomes
+
+
 def newton_refine(p: GroupPresentation, rep: Representation,
                   tol_residual: float = DEFAULT_NEWTON_TOL,
-                  max_iter: int = DEFAULT_NEWTON_MAX_ITER,
-                  basin_guard: "float | None" = DEFAULT_BASIN_GUARD,
-                  ) -> Representation:
-    """Refine rep onto the solution set of the relator equations.
-
-    Minimum-norm least-squares Newton steps on the ambient system, with
-    every image re-projected to determinant 1 after each step.  An input
-    already at tolerance is returned unchanged.  basin_guard rejects
-    starting points with residual above the guard (pass None to skip, e.g.
-    for survey perturbations that are known rough but safe).
+                  max_iter: int = DEFAULT_NEWTON_MAX_ITER) -> Representation:
+    """Refine rep onto the solution set of the relator equations:
+    refine_points on rep as a stack of one.  Raises what stopped it:
+    NewtonConvergenceError, or an iterate's ValueError or LinAlgError.
     """
-    n = rep.spec.n
-    res, state = _newton_state(p, rep)
-    if basin_guard is not None and res > basin_guard:
-        raise NewtonConvergenceError(
-            res, f"starting residual exceeds the basin guard {basin_guard:g}"
-        )
-    cur = rep
-    for _ in range(max_iter):
-        if res < tol_residual:
-            return cur
-        F, J = _ambient_system(p, cur, *state)
-        step = cxla.least_squares_step(J, F).reshape(-1, n, n)
-        cur = Representation(cur.spec, project_det(cur.images + step))
-        res, state = _newton_state(p, cur)
-    if res < tol_residual:
-        return cur
-    raise NewtonConvergenceError(
-        res, f"no convergence within {max_iter} iterations"
-    )
+    refined, = refine_points(p, rep.spec, rep, tol_residual, max_iter)
+    if isinstance(refined, Exception):
+        raise refined
+    return refined
 
 
 def random_selftest_pair(seed: int):

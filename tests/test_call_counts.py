@@ -3,13 +3,13 @@
 They count calls, never time them, so they hold on any machine: the Newton
 and Fox kernels stay free of per-letter Kronecker products, each point's
 generator images are inverted in one stacked call shared by all its
-readers, and a certification computes the full-image centralizer once.
+readers, survey samples share one guard per Newton state, and a
+certification computes the full-image centralizer once.
 """
 
 from __future__ import annotations
 
 import importlib
-import re
 import sys
 
 import numpy as np
@@ -77,9 +77,34 @@ def test_newton_and_jacobian_kernels_call_counts(monkeypatch):
     del events[:], inverse_shapes[:]
     result = survey(sl2_doc, num_samples=3, seed=1)
     assert not result.errors
-    # per sample: one stack for the start and one per Newton iterate
-    assert re.fullmatch("(S(TS)*){3}", "".join(events))
-    assert "T" in events
-    assert set(inverse_shapes) == {(2, 2, 2)}
+    # the samples refine in lockstep: one guard over all three image stacks
+    # per state, start and each iterate, then one step per sample; each
+    # sample takes the 3 steps it took when it refined alone
+    assert "".join(events) == "STTT" * 3 + "S"
+    assert set(inverse_shapes) == {(3 * 2, 2, 2)}
 
     assert not {"charbound.tangent", "charbound.structure"} & set(kron_callers)
+
+
+def test_finite_difference_oracle_evaluates_one_stack(monkeypatch):
+    # three generators, two relators, n = 3: 48 perturbed points
+    p, rep = tangent.random_selftest_pair(4)
+    rep.inverses  # the point's own guard, shared with the analytic side
+    calls = []
+    for name in ("det", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+
+    def fox_kernel(*args):
+        raise AssertionError("the oracle must stay off the Fox kernel")
+
+    monkeypatch.setattr(tangent, "_kron_sums", fox_kernel)
+    tangent.finite_difference_jacobian(p, rep)
+    # one guard for all 2 d m1 perturbed points, one for the relator values;
+    # no perturbed point is validated on its own
+    assert calls == ["svd", "svd"]

@@ -2,19 +2,21 @@ from __future__ import annotations
 
 import importlib
 import json
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
 
+from charbound import cxla
 from charbound.certify import (_SCHEMA, BOUND_MET,
                                BOUND_VIOLATION_SUSPECT_INPUT,
-                               HYPOTHESES_NOT_MET, UNRELIABLE,
-                               InputDocumentError, certify,
+                               HYPOTHESES_NOT_MET, SURVEY_NOISE_SCALE,
+                               UNRELIABLE, InputDocumentError, certify,
                                document_from_dict, goldman_check,
                                load_document, report_to_dict, survey)
-from charbound.grouprep import (GroupSpec, random_representation,
-                                sym_power_embedding)
+from charbound.grouprep import (GroupSpec, Representation,
+                                random_representation, sym_power_embedding)
 from charbound.tangent import NewtonConvergenceError
 from charbound.words import GroupPresentation
 from conftest import fixture_path
@@ -245,7 +247,7 @@ def test_certify_coarse_rank_tol_is_unreliable(fig8_sl2_doc):
     # at 0.2 * 12.41 drops the genuine 2.0, so the margin falls to
     # 12.41 / 2 ~ 6.2 < 10 while the structure checks (whose spectra are
     # better separated) still return the true integers
-    doc = fig8_sl2_doc.with_tolerances(tol_rank=0.2)
+    doc = replace(fig8_sl2_doc, tol_rank=0.2)
     report = certify(doc)
     assert report.structure.irreducible is True
     assert report.structure.boundary_regular is True
@@ -256,7 +258,7 @@ def test_certify_coarse_rank_tol_is_unreliable(fig8_sl2_doc):
 def test_certify_garbage_rank_tol_fails_hypotheses_first(fig8_sl2_doc):
     # once the cutoff is coarse enough to corrupt the span-growth ranks the
     # irreducibility check fails, and the hypothesis verdict takes precedence
-    doc = fig8_sl2_doc.with_tolerances(tol_rank=0.3)
+    doc = replace(fig8_sl2_doc, tol_rank=0.3)
     report = certify(doc)
     assert report.structure.irreducible is False
     assert report.verdict == HYPOTHESES_NOT_MET
@@ -265,7 +267,7 @@ def test_certify_garbage_rank_tol_fails_hypotheses_first(fig8_sl2_doc):
 def test_certify_verdict_stable_under_tightened_tol(fig8_sl2_doc, fig8_sl3_doc):
     for doc in (fig8_sl2_doc, fig8_sl3_doc):
         base = certify(doc)
-        tight = certify(doc.with_tolerances(tol_rank=doc.tol_rank / 10))
+        tight = certify(replace(doc, tol_rank=doc.tol_rank / 10))
         assert tight.verdict in (base.verdict, UNRELIABLE)
         if tight.verdict == base.verdict == BOUND_MET:
             assert tight.dim_X0_estimate == base.dim_X0_estimate
@@ -320,6 +322,48 @@ def test_survey_propagates_programming_errors(fig8_sl2_doc, monkeypatch):
                         "tangent_report", broken)
     with pytest.raises(TypeError):
         survey(fig8_sl2_doc, num_samples=2, seed=0)
+
+
+def test_survey_lockstep_matches_certifying_each_sample(fig8_sl2_doc,
+                                                        monkeypatch):
+    # sym^3 of the figure-eight point, with a Newton target near the
+    # round-off floor: of these four samples two converge, after 6 and 17
+    # steps, and two run out of iterations
+    spec = GroupSpec(4)
+    point = Representation(spec, tuple(
+        sym_power_embedding(m, 4) for m in fig8_sl2_doc.representation.images))
+    doc = replace(fig8_sl2_doc, spec=spec, representation=point,
+                  tol_residual=1.5e-13)
+    steps = []
+    original_step = cxla.least_squares_step
+
+    def counting_step(J, residual, tol=cxla.DEFAULT_RANK_TOL):
+        steps.append(1)
+        return original_step(J, residual, tol)
+
+    monkeypatch.setattr(cxla, "least_squares_step", counting_step)
+    result = survey(doc, num_samples=4, seed=3)
+    survey_steps = len(steps)
+
+    rng = np.random.default_rng(3)
+    reports, errors, alone_steps = [], [], []
+    for idx in range(4):
+        noisy = tuple(m + SURVEY_NOISE_SCALE * (rng.standard_normal((4, 4))
+                                                + 1j * rng.standard_normal((4, 4)))
+                      for m in point.images)
+        del steps[:]
+        try:
+            reports.append(certify(replace(
+                doc, representation=Representation(spec, noisy))))
+        except NewtonConvergenceError as e:
+            reports.append(None)
+            errors.append((idx, f"{type(e).__name__}: {e}"))
+        alone_steps.append(len(steps))
+    assert result.reports == tuple(reports)
+    assert result.errors == tuple(errors)
+    assert survey_steps == sum(alone_steps)
+    converged = [k for k, r in zip(alone_steps, reports) if r is not None]
+    assert len(set(converged)) == 2 and len(errors) == 2
 
 
 def test_goldman_check_dimensions():

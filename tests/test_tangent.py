@@ -5,15 +5,16 @@ import pytest
 
 from charbound import cxla
 from charbound.grouprep import (GroupSpec, Representation, adjoint_operator,
-                                evaluate_word, random_representation,
-                                relator_residual, sl_projections,
-                                sym_power_embedding)
+                                evaluate_word, project_det,
+                                random_representation, relator_residual,
+                                sl_projections, sym_power_embedding)
 from charbound.tangent import (NewtonConvergenceError, _ambient_system,
-                               _newton_state, finite_difference_jacobian,
+                               _guarded, _newton_state,
+                               finite_difference_jacobian,
                                fox_matrix,
                                fox_selftest_deviation, newton_refine,
-                               random_selftest_pair, relator_jacobian,
-                               tangent_report)
+                               random_selftest_pair, refine_points,
+                               relator_jacobian, tangent_report)
 from charbound.words import (GroupPresentation, Word, free_reduce, parse_word,
                              surface_presentation)
 from conftest import fixture_path, random_sl, random_su
@@ -130,14 +131,16 @@ def test_newton_recovers_from_perturbation(fig8_sl2_doc):
 
 
 def test_newton_far_point_fails(fig8_sl2_doc):
+    # most random starts refine onto some point of Hom; this one wanders
+    # for all 50 iterations
     doc = fig8_sl2_doc
-    rep = random_representation(doc.presentation, SL2, seed=7)
+    rep = random_representation(doc.presentation, SL2, seed=4)
     with pytest.raises(NewtonConvergenceError) as info:
         newton_refine(doc.presentation, rep)
     assert info.value.last_residual > 0
 
 
-def test_newton_basin_guard_none_skips_entry_check(fig8_sl2_doc):
+def test_newton_refines_a_rough_start(fig8_sl2_doc):
     doc = fig8_sl2_doc
     rng = np.random.default_rng(8)
     noisy = tuple(
@@ -145,10 +148,54 @@ def test_newton_basin_guard_none_skips_entry_check(fig8_sl2_doc):
         for m in doc.representation.images
     )
     rep = Representation(SL2, noisy)
-    with pytest.raises(NewtonConvergenceError):
-        newton_refine(doc.presentation, rep, basin_guard=1e-3)
-    refined = newton_refine(doc.presentation, rep, basin_guard=None)
+    refined = newton_refine(doc.presentation, rep)
     assert relator_residual(doc.presentation, refined) < 1e-12
+
+
+def test_refine_points_gives_each_start_its_own_outcome(fig8_sl2_doc):
+    # every start ends as it would alone: refined to the same images, or
+    # with the same error, whichever stage raises it; a failed stacked
+    # check does not stop the other starts
+    p, base = fig8_sl2_doc.presentation, fig8_sl2_doc.representation.images
+    rng = np.random.default_rng(0)
+    noisy = base + 1e-3 * rng.standard_normal((2,) + base.shape)
+    flat, singular, infinite = base.copy(), base.copy(), base.copy()
+    flat[1] = 0
+    singular[0] = np.diag([1e5, 1e-5])
+    infinite[1, 0, 0] = np.inf
+    wanders = random_representation(p, SL2, seed=4).images
+    starts = np.array([noisy[0], flat, wanders, singular, infinite, noisy[1]])
+    kinds = []
+    for start, out in zip(starts, refine_points(p, SL2, starts)):
+        try:
+            alone = newton_refine(p, Representation(SL2, start))
+        except (ValueError, np.linalg.LinAlgError,
+                NewtonConvergenceError) as e:
+            assert (type(out), str(out)) == (type(e), str(e))
+            kinds.append(type(e).__name__)
+        else:
+            assert np.array_equal(out.images, alone.images)
+            kinds.append("refined")
+    assert kinds == ["refined", "ValueError", "NewtonConvergenceError",
+                     "LinAlgError", "ValueError", "refined"]
+
+    # after a step every iterate is rescaled to det 1 before the check: a
+    # singular iterate cannot be, and an ill-conditioned one fails the guard
+    def alone(images):
+        try:
+            Representation(SL2, project_det(images)).inverses
+        except (ValueError, np.linalg.LinAlgError) as e:
+            return type(e), str(e)
+
+    iterates = np.array([noisy[0], flat, singular])
+    outcomes = [None] * 3
+    live, points = _guarded(SL2, iterates, True, [0, 1, 2], outcomes)
+    assert live == [0]
+    assert np.array_equal(points.images[0], project_det(noisy[0]))
+    assert [(type(e), str(e)) for e in outcomes[1:]] == [
+        alone(m) for m in iterates[1:]]
+    assert [t.__name__ for t, _ in map(alone, iterates[1:])] == [
+        "ValueError", "LinAlgError"]
 
 
 def test_tangent_report_free_groups():
